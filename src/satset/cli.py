@@ -133,6 +133,8 @@ def cmd_construct(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bounds(args, parser) -> int:
+    if args.random_trials < 0:
+        parser.error("--random-trials must be >= 0")
     qs = []
     for tok in args.q_list.split(","):
         qs.append(_plane_order(tok.strip(), parser))
@@ -161,8 +163,9 @@ def cmd_verify(args, parser) -> int:
     pl = _resolve_plane(args, parser)
     try:
         points = load_point_set(args.points)
-        if points and max(points) >= pl.n:
-            raise ValueError(f"point index {max(points)} outside [0, {pl.n})")
+        outside = [v for v in points if not 0 <= v < pl.n]
+        if outside:
+            raise ValueError(f"point index {min(outside)} outside [0, {pl.n})")
     except (OSError, ValueError) as exc:
         parser.error(f"cannot load point set: {exc}")
     missing = sorted(saturation.unsaturated(pl, points))
@@ -181,6 +184,8 @@ def cmd_verify(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_mc(args, parser) -> int:
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
     pl = _resolve_plane(args, parser)
     p = args.p if args.p is not None else formulas.sampling_probability(pl.q)
     if not 0.0 <= p <= 1.0:

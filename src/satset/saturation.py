@@ -154,15 +154,24 @@ class SaturationState:
         return base
 
     def benefit_vector(self) -> np.ndarray:
-        """Benefits for all points at once; chosen points get -1."""
+        """Benefits for all points at once; chosen points get -1.
+
+        Each live line (one carrying a chosen point) adds its unsaturated
+        count to every point on it, in one bincount.  An unsaturated point
+        lies on no secant, so its live lines are exactly one per chosen
+        point, and it is counted |S| times where it should count once.
+        """
         n = self.plane.n
         if not self.chosen:
             out = np.zeros(n, dtype=np.int64)
         else:
-            pl = self.plane.point_lines
-            live = self.line_hits[pl] >= 1
-            base = np.where(live, self.unsat_on_line[pl], 0).sum(axis=1)
-            out = base + np.where(self.in_unsat, 1 - live.sum(axis=1), 0)
+            live = np.flatnonzero(self.line_hits >= 1)
+            pts = self.plane.line_points[live]
+            weights = np.repeat(self.unsat_on_line[live], pts.shape[1])
+            # float64 weights sum exactly: every total is at most n < 2**53
+            base = np.bincount(pts.ravel(), weights=weights,
+                               minlength=n).astype(np.int64)
+            out = base + np.where(self.in_unsat, 1 - self.size, 0)
         out[self.in_chosen] = -1
         return out
 
@@ -433,18 +442,10 @@ def monte_carlo_expectation(plane: ProjectivePlane, p: float, trials: int,
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     n = plane.n
-    lp = plane.line_points
     ys = np.empty(trials, dtype=np.float64)
     for t in range(trials):
         mask = trial_generator(seed, t).random(n) < p
-        hits = mask[lp].sum(axis=1)
-        det = np.flatnonzero(hits >= 2)
-        if det.size:
-            covered = np.zeros(n, dtype=bool)
-            covered[lp[det].ravel()] = True
-            ys[t] = n - int(covered.sum())
-        else:
-            ys[t] = n
+        ys[t] = n - int(_covered_mask(plane, mask).sum())
     mean = float(ys.mean())
     stderr = float(ys.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -64,6 +65,23 @@ def test_greedy_json_byte_identical(capsys):
     assert out1 == out2
 
 
+# sha256 of the `construct --method greedy` JSON, trace included
+GREEDY_JSON_SHA256 = {
+    (27, "skew"): "a7a55d24e55edc79eef2998257b4a788b8ecf8809d345a8dcac33f39106e8bb9",
+    (27, "global"): "864553e8c4432bad2cd5e456bc426f253d4b4b9c7352229f4fce886df6a89842",
+    (64, "skew"): "bb745b84c044dc0c732ecae7d246b47075d40fe3b1c8efad6ae5f81a2bceaf28",
+    (64, "global"): "5fe0ef414ae0afb512d10a7b14626972e49e3f1e813f4a0b4dd648ace1c0febf",
+}
+
+
+@pytest.mark.parametrize(("q", "variant"), list(GREEDY_JSON_SHA256))
+def test_greedy_json_golden_digest(capsys, q, variant):
+    code, out = run(capsys, ["construct", "--q", str(q), "--method", "greedy",
+                             "--variant", variant])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GREEDY_JSON_SHA256[q, variant]
+
+
 def test_construct_writes_output_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out = run(capsys, ["construct", "--q", "2", "--method", "greedy",
@@ -118,6 +136,13 @@ def test_bounds_with_random_column(capsys):
     assert float(row[4]) > 0
 
 
+def test_bounds_rejects_negative_random_trials(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--q-list", "3", "--random-trials", "-3", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--random-trials must be >= 0" in capsys.readouterr().err
+
+
 def test_bounds_rejects_non_prime_power(capsys):
     assert run_error(capsys, ["bounds", "--q-list", "6"]) == 2
 
@@ -147,6 +172,15 @@ def test_verify_malformed_points(capsys, tmp_path):
     assert run_error(capsys, ["verify", "--q", "2", "--points", str(path)]) == 2
 
 
+def test_verify_rejects_negative_index(capsys, tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("-1\n3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "2", "--points", str(path)])
+    assert exc.value.code == 2
+    assert "point index -1 outside [0, 7)" in capsys.readouterr().err
+
+
 def test_mc_output(capsys):
     code, out = run(capsys, ["mc", "--q", "2", "--p", "0.5",
                              "--trials", "2000", "--seed", "7"])
@@ -154,6 +188,14 @@ def test_mc_output(capsys):
     assert "formula=1.53125" in out
     fields = dict(tok.split("=") for tok in out.split() if "=" in tok)
     assert abs(float(fields["mean"]) - 1.53125) <= 5 * float(fields["stderr"])
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_mc_rejects_trial_counts_below_one(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--q", "2", "--trials", trials, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--trials must be >= 1" in capsys.readouterr().err
 
 
 def test_minsat_q2_and_cap(capsys):

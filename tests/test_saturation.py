@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from satset.plane import canonical_plane
-from satset.saturation import (SaturationState, benefit, is_saturating,
-                               undetermined_count, unsaturated)
+from satset.saturation import (VARIANTS, SaturationState, benefit,
+                               greedy_step, is_saturating, undetermined_count,
+                               unsaturated)
 
 
 def brute_unsaturated(plane, points):
@@ -19,15 +20,20 @@ def brute_unsaturated(plane, points):
     return out
 
 
-def brute_benefit(plane, points, cand):
-    """Oracle: |<cand, S> ∩ R| from the definition, lines built one by one."""
+def brute_benefit(plane, points, cand, unsat=None):
+    """Oracle: |<cand, S> ∩ R| from the definition, lines built one by one.
+
+    `unsat` may pass R = brute_unsaturated(plane, points) precomputed.
+    """
     pts = set(points)
     if not pts:
         return 0
+    if unsat is None:
+        unsat = brute_unsaturated(plane, pts)
     joined = set()
     for s in pts:
         joined.update(plane.points_on_line(plane.line_through(cand, s)))
-    return len(joined & brute_unsaturated(plane, pts))
+    return len(joined & unsat)
 
 
 def test_unsaturated_examples():
@@ -115,6 +121,42 @@ def test_benefit_vector_matches_scalar():
             assert vec[p] == -1
         else:
             assert vec[p] == state.benefit(p)
+
+
+def kernel_states(q):
+    """States with |S| = 0, 1, 2, then each state a greedy walk passes
+    through while both D and R are nonempty (skew and global walks)."""
+    pl = canonical_plane(q)
+    rng = np.random.default_rng(q)
+    for size in (0, 1, 2):
+        state = SaturationState(pl)
+        for p in rng.choice(pl.n, size=size, replace=False):
+            state.add_point(int(p))
+        yield state
+    for variant in VARIANTS:
+        state = SaturationState(pl)
+        state.add_point(0)
+        state.add_point(1)
+        while state.unsat_count:
+            if state.determined_set:
+                yield state
+            greedy_step(state, variant)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 16])
+def test_benefit_vector_matches_oracle_and_scalar(q):
+    checked = 0
+    for state in kernel_states(q):
+        pl, chosen = state.plane, state.current_set
+        unsat = brute_unsaturated(pl, chosen)
+        vec = state.benefit_vector()
+        for p in range(pl.n):
+            if p in chosen:
+                assert vec[p] == -1
+            else:
+                assert vec[p] == state.benefit(p) == brute_benefit(pl, chosen, p, unsat)
+        checked += 1
+    assert checked > 3                          # the greedy walks were checked too
 
 
 def test_benefit_equals_unsaturated_drop():
