@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baer, formulas, hypergraph, plane as plane_mod, saturation
-from .gf import factor_prime_power
+from .gf import _TABLE_CAP, factor_prime_power
 from .plane import ProjectivePlane, canonical_plane, load_plane, load_point_set
 from .rng import generator_from_seed
 
@@ -45,7 +45,20 @@ def _plane_order(value: str, parser) -> int:
         parser.error(f"{value} is not a prime power")
     if q < 2:
         parser.error("plane order must be >= 2")
+    if q > _TABLE_CAP:
+        parser.error(f"plane order {q} exceeds the largest supported order {_TABLE_CAP}")
     return q
+
+
+def _seed(value: str) -> int:
+    """argparse type for every --seed: a non-negative integer."""
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _resolve_plane(args, parser) -> ProjectivePlane:
@@ -233,9 +246,7 @@ def cmd_hypergraph(args, parser) -> int:
     print(f"r={r} t={t if t is not None else 'NA'}")
     ok = True
     if len(family) >= 2:
-        expected = _lemma_expected_sizes(pl, family, seed_set)
-        actual = hypergraph.pairwise_intersection_sizes(family)
-        verdict = expected == actual
+        verdict = hypergraph.intersection_lemma_holds(pl, family, seed_set)
         ok &= verdict
         print(f"lemma_check={'PASS' if verdict else 'FAIL'}")
     result = hypergraph.greedy_transversal(family)
@@ -251,19 +262,6 @@ def cmd_hypergraph(args, parser) -> int:
     ok &= sat
     print(f"augmented_size={len(augmented)} saturating={sat}")
     return 0 if ok else 1
-
-
-def _lemma_expected_sizes(pl, family, seed_set):
-    """Intersection sizes the two-case split predicts, in pair order."""
-    labels = family.labels
-    k = len(seed_set)
-    out = []
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            line = pl.line_points[pl.line_through(labels[i], labels[j])]
-            hits = sum(1 for v in line.tolist() if v in seed_set)
-            out.append(k * (k - 1) if hits == 0 else (k - 1) * (k - 2) + pl.q)
-    return out
 
 
 def main(argv=None) -> int:
@@ -285,7 +283,7 @@ def main(argv=None) -> int:
     p_construct.add_argument("--stop-rule", choices=list(saturation.STOP_RULES),
                              default="benefit-floor")
     p_construct.add_argument("--cap", type=int, help="step cap for --stop-rule step-cap")
-    p_construct.add_argument("--seed", type=int, help="seed (required for random)")
+    p_construct.add_argument("--seed", type=_seed, help="seed (required for random)")
     p_construct.add_argument("--p", type=float, help="sampling probability override")
     p_construct.add_argument("--output", help="write the JSON document here")
 
@@ -294,7 +292,7 @@ def main(argv=None) -> int:
                           help="comma-separated prime powers")
     p_bounds.add_argument("--random-trials", type=int, default=0,
                           help="add a mean random-construction column")
-    p_bounds.add_argument("--seed", type=int)
+    p_bounds.add_argument("--seed", type=_seed)
     p_bounds.add_argument("--output")
 
     p_verify = sub.add_parser("verify", help="check a point-set file for saturation")
@@ -305,7 +303,7 @@ def main(argv=None) -> int:
     add_plane_args(p_mc)
     p_mc.add_argument("--p", type=float)
     p_mc.add_argument("--trials", type=int, required=True)
-    p_mc.add_argument("--seed", type=int, required=True)
+    p_mc.add_argument("--seed", type=_seed, required=True)
 
     p_minsat = sub.add_parser("minsat", help="exact minimum by exhaustive search")
     add_plane_args(p_minsat)
@@ -315,7 +313,7 @@ def main(argv=None) -> int:
     p_hyper = sub.add_parser("hypergraph", help="saturation family diagnostics")
     add_plane_args(p_hyper)
     p_hyper.add_argument("--s0-size", type=int, required=True)
-    p_hyper.add_argument("--seed", type=int, required=True)
+    p_hyper.add_argument("--seed", type=_seed, required=True)
 
     p_plane = sub.add_parser("plane", help="generate or check plane files")
     p_plane.add_argument("action", choices=["gen", "check"])

@@ -11,10 +11,11 @@ of the family, added to S0, therefore saturates the plane.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import mpmath
 import numpy as np
@@ -50,6 +51,23 @@ class SetFamily:
     def __len__(self):
         return len(self.edges)
 
+    @functools.cached_property
+    def incidence(self) -> np.ndarray:
+        """Read-only m x ground_size bool matrix; row k marks edge k."""
+        matrix = np.zeros((len(self.edges), self.ground_size), dtype=bool)
+        for k, edge in enumerate(self.edges):
+            matrix[k, list(edge)] = True
+        matrix.setflags(write=False)
+        return matrix
+
+    @functools.cached_property
+    def packed(self) -> np.ndarray:
+        """`incidence` rows bit-packed by `np.packbits`, zero-padded to uint64 words."""
+        packed = np.packbits(self.incidence, axis=1)
+        packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+        packed.setflags(write=False)
+        return packed
+
 
 @dataclass
 class TransversalResult:
@@ -58,32 +76,40 @@ class TransversalResult:
     bound: int | None            # ceil(rm/(tm+r) ln m) when it applies
 
 
+def _lines_through(plane: ProjectivePlane, x: int) -> np.ndarray:
+    """Length-n table whose entry v is the line joining x and v (v != x)."""
+    through = np.empty(plane.n, dtype=np.int32)
+    lines = plane.point_lines[x]
+    through[plane.line_points[lines]] = lines[:, None]
+    return through
+
+
 def saturation_family(plane: ProjectivePlane, seed_set: Iterable[int]) -> SetFamily:
     """One edge per unsaturated point: the points that would saturate it."""
     s0 = sorted(set(int(v) for v in seed_set))
     if len(s0) < 2:
         raise ValueError("the seed set needs at least 2 points")
     missing = sorted(unsaturated(plane, s0))   # also validates the indices
-    s0_mask = np.zeros(plane.n, dtype=bool)
-    s0_mask[s0] = True
-    edges = []
-    labels = []
-    for x in missing:
-        rows = plane.line_points[[plane.line_through(x, s) for s in s0]]
-        members = np.unique(rows.ravel())
-        edges.append(frozenset(int(v) for v in members[~s0_mask[members]]))
-        labels.append(x)
-    return SetFamily(ground_size=plane.n, edges=tuple(edges),
-                     labels=tuple(labels) if labels else None)
+    # joins[k, i]: the line through s0[k] and missing[i]
+    joins = np.stack([_lines_through(plane, s)[missing] for s in s0])
+    members = np.zeros((len(missing), plane.n), dtype=bool)
+    rows = np.arange(len(missing))[:, None, None]
+    members[rows, plane.line_points[joins.T]] = True
+    members[:, s0] = False
+    edges = tuple(frozenset(np.flatnonzero(row).tolist()) for row in members)
+    return SetFamily(ground_size=plane.n, edges=edges, labels=tuple(missing) or None)
+
+
+def _row_intersections(family: SetFamily, i: int) -> np.ndarray:
+    """|H_i ∩ H_j| for every j > i, from the bit-packed edge rows."""
+    packed = family.packed
+    return np.bitwise_count(packed[i] & packed[i + 1:]).sum(axis=1, dtype=np.int64)
 
 
 def pairwise_intersection_sizes(family: SetFamily) -> list[int]:
     """|H_i ∩ H_j| for all i < j, in row-major pair order."""
-    out = []
-    for i in range(len(family.edges)):
-        for j in range(i + 1, len(family.edges)):
-            out.append(len(family.edges[i] & family.edges[j]))
-    return out
+    return [size for i in range(len(family.edges))
+            for size in _row_intersections(family, i).tolist()]
 
 
 def check_uniform_intersecting(family: SetFamily) -> tuple[int | None, int | None]:
@@ -94,8 +120,31 @@ def check_uniform_intersecting(family: SetFamily) -> tuple[int | None, int | Non
     """
     sizes = {len(e) for e in family.edges}
     r = sizes.pop() if len(sizes) == 1 else None
-    t = min(pairwise_intersection_sizes(family)) if len(family.edges) >= 2 else None
+    t = min((int(_row_intersections(family, i).min())
+             for i in range(len(family.edges) - 1)), default=None)
     return r, t
+
+
+def intersection_lemma_holds(plane: ProjectivePlane, family: SetFamily,
+                             seed_set: Iterable[int]) -> bool:
+    """Whether every |H_i ∩ H_j| matches the lemma's two-case prediction.
+
+    The prediction comes from the line joining the labels x_i and x_j:
+    k(k-1) when it misses S0 (|S0| = k), (k-1)(k-2)+q when it meets S0.
+    It is compared against intersections counted from the edges, so the
+    two sides come from independent data.
+    """
+    s0 = sorted(set(int(v) for v in seed_set))
+    k, q = len(s0), plane.q
+    s0_hits = np.bincount(plane.point_lines[s0].ravel(), minlength=plane.n)
+    predicted_size = np.where(s0_hits == 0, k * (k - 1), (k - 1) * (k - 2) + q)
+    labels = np.asarray(family.labels)
+    for i in range(len(labels) - 1):
+        through = _lines_through(plane, int(labels[i]))
+        predicted = predicted_size[through[labels[i + 1:]]]
+        if not np.array_equal(predicted, _row_intersections(family, i)):
+            return False
+    return True
 
 
 def transversal_bound(r: int, t: int, m: int) -> int:
@@ -119,28 +168,29 @@ def transversal_bound(r: int, t: int, m: int) -> int:
 def greedy_transversal(family: SetFamily) -> TransversalResult:
     """Repeatedly pick the vertex covering the most uncovered edges.
 
-    Ties break to the lowest vertex index; degrees are recomputed exactly
-    each round.  The result is checked to hit every edge.  For a uniform
-    intersecting family with m >= 2 the `transversal_bound` value is
-    attached for callers to compare against.
+    Ties break to the lowest vertex index; degrees are computed once and
+    updated in place, each pick subtracting the edges it newly covers.
+    The result is checked to hit every edge.  For a uniform intersecting
+    family with m >= 2 the `transversal_bound` value is attached for
+    callers to compare against.
     """
     m = len(family.edges)
     if m == 0:
         return TransversalResult([], [], None)
     r, t = check_uniform_intersecting(family)
     bound = transversal_bound(r, t, m) if (r is not None and m >= 2) else None
-    uncovered = set(range(m))
+    incidence = family.incidence
+    degree = incidence.sum(axis=0, dtype=np.int64)
+    uncovered = np.ones(m, dtype=bool)
     picks: list[int] = []
     covered_counts: list[int] = []
-    while uncovered:
-        degree = np.zeros(family.ground_size, dtype=np.int64)
-        for k in uncovered:
-            degree[list(family.edges[k])] += 1
+    while uncovered.any():
         v = int(np.argmax(degree))
-        newly = [k for k in uncovered if v in family.edges[k]]
+        newly = uncovered & incidence[:, v]
         picks.append(v)
-        covered_counts.append(len(newly))
-        uncovered.difference_update(newly)
+        covered_counts.append(int(newly.sum()))
+        degree -= incidence[newly].sum(axis=0, dtype=np.int64)
+        uncovered &= ~newly
     assert all(any(v in e for v in picks) for e in family.edges)
     return TransversalResult(picks, covered_counts, bound)
 

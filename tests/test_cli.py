@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satset.cli import main
 from satset.plane import canonical_plane, save_plane, save_point_set
@@ -217,6 +220,23 @@ def test_hypergraph_command(capsys):
     assert out == out2
 
 
+# sha256 of the `hypergraph` stdout; q=25 seed 1701 has a collinear triple
+# in s0 (m=462), seed 1702 is in general position (m=421)
+HYPERGRAPH_SHA256 = {
+    (9, 4, 3): "9b9818bd6913a750a4479090c3242573cddc2af4c5ff777caeef23227b7ecae5",
+    (25, 5, 1701): "b8f74ad82b0906f7c5257ae64ef468eb4420a112146b65ce7a6c7d0e8dabf7de",
+    (25, 5, 1702): "d27093add1c7bbc50199818e489f89997de8b3df79ba5e3581c717eafd6ce4b2",
+}
+
+
+@pytest.mark.parametrize(("q", "s0_size", "seed"), list(HYPERGRAPH_SHA256))
+def test_hypergraph_golden_digest(capsys, q, s0_size, seed):
+    code, out = run(capsys, ["hypergraph", "--q", str(q), "--s0-size", str(s0_size),
+                             "--seed", str(seed)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HYPERGRAPH_SHA256[q, s0_size, seed]
+
+
 def test_plane_gen_and_check(capsys, tmp_path):
     path = tmp_path / "p5.txt"
     code, _ = run(capsys, ["plane", "gen", "--q", "5", "--file", str(path)])
@@ -239,3 +259,70 @@ def test_plane_gen_and_check(capsys, tmp_path):
     # unparseable file exits 2
     path.write_text("garbage\n")
     assert run_error(capsys, ["plane", "check", "--file", str(path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["hypergraph", "--q", "5", "--s0-size", "3", "--seed", "-1"],
+    ["mc", "--q", "3", "--trials", "2", "--seed", "-1"],
+    ["bounds", "--q-list", "3", "--random-trials", "1", "--seed", "-1"],
+    ["construct", "--q", "3", "--method", "random", "--seed", "-1"],
+])
+def test_negative_seed_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: seed must be >= 0, got -1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plane", "gen", "--q", "2048", "--file", "unused.txt"],
+    ["construct", "--q", "2048", "--method", "greedy"],
+])
+def test_order_above_table_cap_rejected(capsys, argv):
+    # refused before any plane is built (q=1024 is accepted and would build
+    # a plane of several GB, so it has no test)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "plane order 2048 exceeds the largest supported order 1024" in capsys.readouterr().err
+
+
+ORDERS = st.sampled_from(["2", "3", "4", "5", "7"])
+SEEDS = st.integers(-5, 50).map(str)
+COUNTS = st.integers(-3, 5).map(str)
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["construct", "mc", "bounds", "hypergraph"]))
+    q = draw(ORDERS)
+    if command == "construct":
+        argv = ["construct", "--q", q, "--method",
+                draw(st.sampled_from(["greedy", "random", "baer"]))]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(SEEDS)]
+        return argv
+    if command == "mc":
+        return ["mc", "--q", q, "--trials", draw(COUNTS), "--seed", draw(SEEDS)]
+    if command == "bounds":
+        argv = ["bounds", "--q-list", q, "--random-trials", draw(COUNTS)]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(SEEDS)]
+        return argv
+    return ["hypergraph", "--q", q, "--s0-size", draw(COUNTS), "--seed", draw(SEEDS)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzz_argv())
+def test_argv_fuzz_exit_codes(argv):
+    # an exception other than SystemExit is what prints a traceback
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in stderr.getvalue(), argv

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from satset.hypergraph import (SetFamily, check_uniform_intersecting,
-                               greedy_transversal, load_family,
+                               greedy_transversal, intersection_lemma_holds,
+                               load_family,
                                pairwise_intersection_sizes, saturation_family,
                                save_family, transversal_bound)
 from satset.plane import canonical_plane
@@ -192,3 +193,78 @@ def test_family_file_malformed(tmp_path):
     path.write_text("FAMILY v1 n=4 m=1\n0 9\n")
     with pytest.raises(ValueError, match="outside"):
         load_family(path)
+
+
+# ---------------------------------------------------------------------------
+# the packed kernels against frozenset and recompute-every-round references
+# ---------------------------------------------------------------------------
+
+def oracle_intersections(family: SetFamily) -> list[int]:
+    edges = family.edges
+    return [len(edges[i] & edges[j])
+            for i in range(len(edges)) for j in range(i + 1, len(edges))]
+
+
+def reference_transversal(family: SetFamily) -> tuple[list[int], list[int]]:
+    """Greedy cover with every degree recounted from the frozensets each round."""
+    uncovered = set(range(len(family.edges)))
+    picks, counts = [], []
+    while uncovered:
+        degree = [0] * family.ground_size
+        for k in uncovered:
+            for v in family.edges[k]:
+                degree[v] += 1
+        v = degree.index(max(degree))
+        newly = {k for k in uncovered if v in family.edges[k]}
+        picks.append(v)
+        counts.append(len(newly))
+        uncovered -= newly
+    return picks, counts
+
+
+def kernel_families() -> list[SetFamily]:
+    families = [
+        sunflower(core=2, petal=8, m=20),
+        SetFamily(5, (frozenset({1, 2, 3}), frozenset({1, 2, 3}))),
+        SetFamily(5, (frozenset({0}), frozenset({1, 2}))),
+        SetFamily(70, (frozenset(range(0, 70, 3)), frozenset(range(1, 70, 2)),
+                       frozenset({0, 8, 63, 64, 69}), frozenset(range(60, 70)))),
+    ]
+    rng = np.random.default_rng(41)
+    for q in (7, 9, 11):
+        pl = canonical_plane(q)
+        for size in (2, 3, 4, 5):
+            seed_set = set(int(v) for v in rng.choice(pl.n, size=size, replace=False))
+            families.append(saturation_family(pl, seed_set))
+    return families
+
+
+def test_intersections_match_frozenset_oracle():
+    for fam in kernel_families():
+        expected = oracle_intersections(fam)
+        assert pairwise_intersection_sizes(fam) == expected
+        sizes = {len(e) for e in fam.edges}
+        r = sizes.pop() if len(sizes) == 1 else None
+        t = min(expected) if expected else None
+        assert check_uniform_intersecting(fam) == (r, t)
+
+
+def test_greedy_transversal_matches_recount_reference():
+    for fam in kernel_families():
+        res = greedy_transversal(fam)
+        assert (res.vertices, res.covered_counts) == reference_transversal(fam)
+
+
+def test_intersection_lemma_holds_and_detects_a_perturbed_edge():
+    pl = canonical_plane(9)
+    seed_set = {0, 13, 47, 88}
+    fam = saturation_family(pl, seed_set)
+    assert len(fam) >= 2
+    assert intersection_lemma_holds(pl, fam, seed_set)
+    # swap one vertex of the last edge for an outside one: sizes stay uniform
+    edge = fam.edges[-1]
+    outside = min(set(range(pl.n)) - edge - seed_set)
+    swapped = (edge - {min(edge)}) | {outside}
+    perturbed = SetFamily(fam.ground_size, fam.edges[:-1] + (swapped,), fam.labels)
+    assert check_uniform_intersecting(perturbed)[0] == len(edge)
+    assert not intersection_lemma_holds(pl, perturbed, seed_set)
