@@ -13,8 +13,8 @@ from .formulas import (contraction_product, default_step_cap,
                        expected_unsaturated, expected_unsaturated_main_term,
                        lunelli_sce_bound, sampling_probability, theorem_bound)
 from .saturation import (RandomTrialStats, SaturationState, StepRecord,
-                         benefit, complete, greedy_construct, greedy_step,
-                         is_saturating, minsat_bruteforce,
+                         VerificationError, complete, greedy_construct,
+                         greedy_step, is_saturating, minsat_bruteforce,
                          monte_carlo_expectation, random_construct,
                          undetermined_count, unsaturated)
 from .baer import BaerEmbedding, baer_subplane, three_subline_construction

@@ -74,6 +74,8 @@ class TransversalResult:
     vertices: list[int]          # in pick order
     covered_counts: list[int]    # edges newly covered by each pick
     bound: int | None            # ceil(rm/(tm+r) ln m) when it applies
+    r: int | None                # the family's (r, t), as the bound used them
+    t: int | None
 
 
 def _lines_through(plane: ProjectivePlane, x: int) -> np.ndarray:
@@ -170,13 +172,11 @@ def greedy_transversal(family: SetFamily) -> TransversalResult:
 
     Ties break to the lowest vertex index; degrees are computed once and
     updated in place, each pick subtracting the edges it newly covers.
-    The result is checked to hit every edge.  For a uniform intersecting
-    family with m >= 2 the `transversal_bound` value is attached for
-    callers to compare against.
+    The result is checked to hit every edge.  It carries the family's
+    (r, t) from `check_uniform_intersecting` and, for a uniform family with
+    m >= 2, the `transversal_bound` value for callers to compare against.
     """
     m = len(family.edges)
-    if m == 0:
-        return TransversalResult([], [], None)
     r, t = check_uniform_intersecting(family)
     bound = transversal_bound(r, t, m) if (r is not None and m >= 2) else None
     incidence = family.incidence
@@ -192,7 +192,7 @@ def greedy_transversal(family: SetFamily) -> TransversalResult:
         degree -= incidence[newly].sum(axis=0, dtype=np.int64)
         uncovered &= ~newly
     assert all(any(v in e for v in picks) for e in family.edges)
-    return TransversalResult(picks, covered_counts, bound)
+    return TransversalResult(picks, covered_counts, bound, r, t)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,22 @@ def is_saturating(plane: ProjectivePlane, points: Iterable[int]) -> bool:
     return len(pts) >= 2 and not unsaturated(plane, pts)
 
 
+class VerificationError(RuntimeError):
+    """A construction produced a set that the independent recount rejects."""
+
+
+def _proven(plane: ProjectivePlane, points: set[int]) -> set[int]:
+    """Return a constructed set once `is_saturating` proves it, else raise.
+
+    Every construction returns through here: one independent recount as
+    the set leaves the library, kept under `python -O` (no assert).
+    """
+    if not is_saturating(plane, points):
+        raise VerificationError(f"constructed set of {len(points)} points "
+                                f"does not saturate PG(2,{plane.q})")
+    return points
+
+
 # ---------------------------------------------------------------------------
 # incremental state
 # ---------------------------------------------------------------------------
@@ -115,6 +131,8 @@ class SaturationState:
 
     def add_point(self, point: int) -> int:
         """Add a point to the chosen set; returns how many points left R."""
+        if not 0 <= point < self.plane.n:
+            raise ValueError(f"point index {point} outside [0, {self.plane.n})")
         if self.in_chosen[point]:
             raise ValueError(f"point {point} already chosen")
         lines_p = self.plane.point_lines[point]
@@ -183,10 +201,6 @@ class SaturationState:
         return self.unsaturated_set == unsaturated(self.plane, self.chosen)
 
 
-def benefit(state: SaturationState, point: int) -> int:
-    return state.benefit(point)
-
-
 # ---------------------------------------------------------------------------
 # greedy construction
 # ---------------------------------------------------------------------------
@@ -242,14 +256,13 @@ def _select(state: SaturationState, variant: str) -> _Selection:
         l_star, min_int = int(skew[k]), int(counts[k])
         line_pts = plane.line_points[l_star]
         benefit_sum = int(bvec[line_pts].sum())
-        if state.size >= 2:
-            # double count: each unsaturated point on the line is removable
-            # only by itself, each one off it by its |S| connecting points
-            i, r = state.size, state.unsat_count
-            assert benefit_sum == min_int + i * (r - min_int), \
-                "benefit double-count identity failed"
-            assert min_int * plane.q <= r, \
-                "minimum skew intersection exceeded |R|/q"
+        # double count: each unsaturated point on the line is removable
+        # only by itself, each one off it by its |S| connecting points
+        i, r = state.size, state.unsat_count
+        assert benefit_sum == min_int + i * (r - min_int), \
+            "benefit double-count identity failed"
+        assert min_int * plane.q <= r, \
+            "minimum skew intersection exceeded |R|/q"
     if variant == "skew" and l_star is not None:
         cands = plane.line_points[l_star]
         pick = int(cands[np.argmax(bvec[cands])])
@@ -290,9 +303,11 @@ def greedy_construct(plane: ProjectivePlane, variant: str = "skew",
       additions remove two each).
     - ``step-cap``: stop at |S| = step_cap (default ceil(sqrt(3 q ln q))),
       then run `complete`.
-    - ``exhaust``: greedy steps until nothing is unsaturated; no completion.
+    - ``exhaust``: greedy steps until nothing is unsaturated, which
+      leaves `complete` nothing to add.
 
-    The result is always verified before being returned.
+    The result is proven saturating by an independent recount before it
+    is returned (`VerificationError` otherwise).
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -310,45 +325,30 @@ def greedy_construct(plane: ProjectivePlane, variant: str = "skew",
     cap = None
     if stop_rule == "step-cap":
         cap = formulas.default_step_cap(plane.q) if step_cap is None else int(step_cap)
-    while state.unsat_count:
-        if stop_rule == "benefit-floor":
-            sel = _select(state, variant)
-            if sel.benefit <= 1:
-                break
-            trace.append(_apply(state, sel))
-        elif stop_rule == "step-cap":
-            if state.size >= cap:
-                break
-            trace.append(greedy_step(state, variant))
-        else:
-            trace.append(greedy_step(state, variant))
-    if state.unsat_count:
-        result = complete(plane, state.current_set)
-    else:
-        result = state.current_set
-    assert is_saturating(plane, result)
-    return result, trace
+    while state.unsat_count and (cap is None or state.size < cap):
+        sel = _select(state, variant)
+        if stop_rule == "benefit-floor" and sel.benefit <= 1:
+            break
+        trace.append(_apply(state, sel))
+    return _proven(plane, complete(state)), trace
 
 
 # ---------------------------------------------------------------------------
 # completion
 # ---------------------------------------------------------------------------
 
-def complete(plane: ProjectivePlane, points: Iterable[int]) -> set[int]:
-    """Extend a set until it saturates, adding at most ceil(|R|/2) points.
+def complete(state: SaturationState) -> set[int]:
+    """Finish a state in place until it saturates; return its chosen set.
 
     Unsaturated points are processed in pairs (x1, x2), always the two
     lowest-index ones: with (s1, s2) the two lowest-index set points, the
-    meet y of <x1,s1> and <x2,s2> is added, which determines both.  Sets
-    with fewer than two points are first seeded with the lowest-index
-    outside points (callers report those startup additions separately).
+    meet y of <x1,s1> and <x2,s2> is added, which determines both, so the
+    state gains at most ceil(|R|/2) points.  A state with fewer than two
+    points is first seeded with the lowest-index outside points (callers
+    report those startup additions separately).  The result depends only
+    on the state's chosen set, not on the order its points were added.
     """
-    state = SaturationState(plane)
-    start = sorted(set(int(v) for v in points))
-    if start and not 0 <= start[0] <= start[-1] < plane.n:
-        raise ValueError(f"point index outside [0, {plane.n})")
-    for p in start:
-        state.add_point(p)
+    plane = state.plane
     p = 0
     while state.size < 2:
         while state.in_chosen[p]:
@@ -406,7 +406,8 @@ def random_construct(plane: ProjectivePlane, seed: int,
 
     The inclusion probability defaults to `formulas.sampling_probability`;
     an explicit override in [0, 1] is accepted.  All randomness comes from
-    the package PCG64 stream for `seed`, so runs reproduce exactly.
+    the package PCG64 stream for `seed`, so runs reproduce exactly.  The
+    sample's state is completed in place and the result proven saturating.
     """
     if p_override is None:
         p = formulas.sampling_probability(plane.q)
@@ -415,12 +416,12 @@ def random_construct(plane: ProjectivePlane, seed: int,
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"sampling probability must lie in [0, 1], got {p}")
     rng = generator_from_seed(seed)
-    mask = rng.random(plane.n) < p
-    sample = set(np.flatnonzero(mask).tolist())
-    x_size = len(sample)
-    y_size = len(unsaturated(plane, sample))
-    final = complete(plane, sample)
-    assert is_saturating(plane, final)
+    state = SaturationState(plane)
+    for point in np.flatnonzero(rng.random(plane.n) < p).tolist():
+        state.add_point(point)
+    # Y leaves out the sample itself, so it is n - |X| when |X| < 2
+    x_size, y_size = state.size, state.unsat_count
+    final = _proven(plane, complete(state))
     stats = RandomTrialStats(seed=seed, sample_size=x_size,
                              unsaturated_size=y_size,
                              startup_additions=max(0, 2 - x_size),

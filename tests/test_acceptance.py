@@ -157,7 +157,10 @@ def test_criterion_06_completion_budget():
                     p += 1
                 seeded.add(p)
             budget = math.ceil(len(ss.unsaturated(plane, seeded)) / 2)
-            result = ss.complete(plane, start)
+            state = ss.SaturationState(plane)
+            for v in sorted(start):
+                state.add_point(v)
+            result = ss.complete(state)
             if (not ss.is_saturating(plane, result)
                     or len(result) - len(seeded) > budget):
                 ok = False

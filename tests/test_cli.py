@@ -85,6 +85,32 @@ def test_greedy_json_golden_digest(capsys, q, variant):
     assert hashlib.sha256(out.encode()).hexdigest() == GREEDY_JSON_SHA256[q, variant]
 
 
+# sha256 of the `construct --method random` and `--method baer` JSON:
+# q=25 seed 0 leaves Y=3 (odd), q=27 seed 7 Y=19, q=25 seed 3 Y=0;
+# `--p 0` samples nothing (two startup points, Y=n) and q=9 seed 1
+# at p=0.02 samples one point (one startup point, Y=n-1)
+CONSTRUCT_JSON_SHA256 = {
+    ("25", "random", "0", None): "7aa2aaf2947101b09a693d7804d02866b4531ba4accca691fea3374396fc4e00",
+    ("27", "random", "7", None): "4ffe7c0e885b14063f5165f4da893643854ded159e05b801f7573cb1593025a3",
+    ("25", "random", "3", None): "8dc3c9e41e414c5422c4b62c4acd3566428035e72f43c729df9314f24f4b0599",
+    ("9", "random", "0", "0"): "a7de3d0afa67eecfc23159da12eefab07d24284a9cbea2f420802b5f9bfe1156",
+    ("9", "random", "1", "0.02"): "05f394c73387ebe37ea22aa1a9463ee25dc93b75d0e714485ecbe649d9e5ca21",
+    ("9", "baer", None, None): "1961530a6f4bfaa8dbcb3bf4638839b72b2ca76fcaffcfe354f0dd8bbd54f4fb",
+    ("16", "baer", None, None): "abf6471529d6e41363c306113fb3ce0ec96bc2f1a8384b8d8b49b96a613a02b4",
+    ("25", "baer", None, None): "9fffc72ee04936d823544708a1f45eb23220a78085627155174b76d3fbfca09a",
+}
+
+
+@pytest.mark.parametrize(("q", "method", "seed", "p"), list(CONSTRUCT_JSON_SHA256))
+def test_construct_json_golden_digest(capsys, q, method, seed, p):
+    argv = ["construct", "--q", q, "--method", method]
+    argv += ["--seed", seed] if seed is not None else []
+    argv += ["--p", p] if p is not None else []
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_JSON_SHA256[q, method, seed, p]
+
+
 def test_construct_writes_output_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out = run(capsys, ["construct", "--q", "2", "--method", "greedy",

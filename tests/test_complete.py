@@ -3,27 +3,36 @@ import math
 import numpy as np
 
 from satset.plane import canonical_plane
-from satset.saturation import complete, is_saturating, unsaturated
+from satset.saturation import (SaturationState, complete, greedy_step,
+                               is_saturating, unsaturated)
+
+
+def complete_from(plane, points):
+    """`complete` on a fresh state holding `points`."""
+    state = SaturationState(plane)
+    for p in sorted(points):
+        state.add_point(p)
+    return complete(state)
 
 
 def test_complete_fano_example():
     pl = canonical_plane(2)
-    assert complete(pl, {0, 4, 6}) == {0, 4, 5, 6}
+    assert complete_from(pl, {0, 4, 6}) == {0, 4, 5, 6}
 
 
 def test_complete_keeps_saturating_sets():
     pl = canonical_plane(2)
-    assert complete(pl, {0, 4, 5, 6}) == {0, 4, 5, 6}
+    assert complete_from(pl, {0, 4, 5, 6}) == {0, 4, 5, 6}
     pl3 = canonical_plane(3)
     everything = set(range(pl3.n))
-    assert complete(pl3, everything) == everything
+    assert complete_from(pl3, everything) == everything
 
 
 def test_complete_from_empty_and_singleton():
     for q in (2, 3, 5):
         pl = canonical_plane(q)
         for start in (set(), {4}):
-            result = complete(pl, start)
+            result = complete_from(pl, start)
             assert start <= result
             assert is_saturating(pl, result)
 
@@ -44,7 +53,7 @@ def test_complete_respects_pairing_budget():
                     p += 1
                 seeded.add(p)
             budget = math.ceil(len(unsaturated(pl, seeded)) / 2)
-            result = complete(pl, start)
+            result = complete_from(pl, start)
             assert start <= result
             assert is_saturating(pl, result)
             assert len(result) - len(seeded) <= budget
@@ -53,4 +62,22 @@ def test_complete_respects_pairing_budget():
 def test_complete_is_deterministic():
     pl = canonical_plane(7)
     start = {3, 11, 40}
-    assert complete(pl, start) == complete(pl, start)
+    assert complete_from(pl, start) == complete_from(pl, start)
+
+
+def test_complete_finishes_a_greedy_state_like_a_fresh_one():
+    """Completing a greedy mid-run state in place matches a fresh state's result."""
+    for q in (7, 9, 16):
+        pl = canonical_plane(q)
+        for variant in ("skew", "global"):
+            for steps in range(4):
+                state = SaturationState(pl)
+                state.add_point(0)
+                state.add_point(1)
+                for _ in range(steps):
+                    greedy_step(state, variant)
+                chosen = state.current_set
+                expected = complete_from(pl, chosen)
+                assert complete(state) == expected
+                assert state.current_set == expected and state.unsat_count == 0
+                assert state.check_partition()

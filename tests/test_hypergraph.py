@@ -255,6 +255,18 @@ def test_greedy_transversal_matches_recount_reference():
         assert (res.vertices, res.covered_counts) == reference_transversal(fam)
 
 
+def test_greedy_transversal_carries_r_and_t():
+    for fam in kernel_families():
+        expected = oracle_intersections(fam)
+        sizes = {len(e) for e in fam.edges}
+        res = greedy_transversal(fam)
+        assert res.r == (sizes.pop() if len(sizes) == 1 else None)
+        assert res.t == (min(expected) if expected else None)
+    empty = greedy_transversal(SetFamily(5, ()))
+    assert (empty.vertices, empty.covered_counts, empty.bound) == ([], [], None)
+    assert (empty.r, empty.t) == (None, None)
+
+
 def test_intersection_lemma_holds_and_detects_a_perturbed_edge():
     pl = canonical_plane(9)
     seed_set = {0, 13, 47, 88}

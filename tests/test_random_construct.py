@@ -4,8 +4,9 @@ import pytest
 
 from satset.plane import canonical_plane
 from satset.saturation import (is_saturating, monte_carlo_expectation,
-                               random_construct)
-from satset.formulas import expected_unsaturated
+                               random_construct, unsaturated)
+from satset.formulas import expected_unsaturated, sampling_probability
+from satset.rng import generator_from_seed
 
 
 def test_p_one_samples_everything():
@@ -53,6 +54,20 @@ def test_stats_budget_invariant():
             assert st.final_size <= (st.sample_size
                                      + math.ceil(st.unsaturated_size / 2)
                                      + st.startup_additions)
+
+
+def test_stats_y_is_the_samples_unsaturated_count():
+    """Y read off the state equals a from-scratch recount of the sample."""
+    for q, p in ((9, None), (16, None), (25, None), (9, 0.0), (9, 0.02), (3, 1.0)):
+        pl = canonical_plane(q)
+        prob = sampling_probability(q) if p is None else p
+        for seed in range(12):
+            sample = {int(v) for v, hit in
+                      enumerate(generator_from_seed(seed).random(pl.n) < prob) if hit}
+            points, st = random_construct(pl, seed, p)
+            assert sample <= points
+            assert st.sample_size == len(sample)
+            assert st.unsaturated_size == len(unsaturated(pl, sample))
 
 
 def test_monte_carlo_degenerate_and_agreement():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from satset.plane import canonical_plane
-from satset.saturation import (VARIANTS, SaturationState, benefit,
-                               greedy_step, is_saturating, undetermined_count,
-                               unsaturated)
+from satset.saturation import (VARIANTS, SaturationState, greedy_step,
+                               is_saturating, undetermined_count, unsaturated)
 
 
 def brute_unsaturated(plane, points):
@@ -78,6 +77,18 @@ def test_is_saturating():
     assert is_saturating(pl, set(range(7)))
     assert not is_saturating(pl, set())         # needs at least two points
     assert not is_saturating(pl, {0})
+
+
+def test_add_point_rejects_indices_outside_the_plane():
+    pl = canonical_plane(2)
+    state = SaturationState(pl)
+    for bad in (-1, -7, 7, 100):
+        with pytest.raises(ValueError):
+            state.add_point(bad)
+    assert state.chosen == [] and state.unsat_count == 7
+    assert not state.in_chosen.any()
+    state.add_point(6)
+    assert state.chosen == [6]
 
 
 def test_benefit_examples():
