@@ -22,7 +22,7 @@ import numpy as np
 
 from .formulas import _precise_ceil
 from .plane import ProjectivePlane
-from .saturation import unsaturated
+from .saturation import _proven, unsaturated
 
 FAMILY_HEADER = "FAMILY v1"
 
@@ -193,6 +193,16 @@ def greedy_transversal(family: SetFamily) -> TransversalResult:
         uncovered &= ~newly
     assert all(any(v in e for v in picks) for e in family.edges)
     return TransversalResult(picks, covered_counts, bound, r, t)
+
+
+def augmented_set(plane: ProjectivePlane, seed_set: Iterable[int],
+                  result: TransversalResult) -> set[int]:
+    """S0 plus a transversal of its saturation family, proven saturating.
+
+    Raises `saturation.VerificationError` when the independent recount
+    finds an unsaturated point.
+    """
+    return _proven(plane, set(int(v) for v in seed_set) | set(result.vertices))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ triples (leftmost nonzero coordinate normalised to 1):
     point  q^2+q           (0, 0, 1)
 
 Lines carry the identical encoding on their dual triples, and point P lies
-on line L exactly when the dot product of the two triples vanishes.  The
-fixed indexing makes every construction in this package reproducible.
+on line L exactly when the dot product of the two triples vanishes.  As
+that relation is symmetric, a canonical plane keeps one int32 table:
+``point_lines`` is ``line_points``.  Loaded planes, arbitrarily labelled,
+keep a second table inverted from the first.  The fixed indexing makes
+every construction in this package reproducible.
 """
 
 from __future__ import annotations
@@ -122,7 +125,10 @@ class ProjectivePlane:
 
 
 def build_pg2(field: GaloisField) -> ProjectivePlane:
-    """Canonical Desarguesian plane PG(2,q) over the given field."""
+    """Canonical Desarguesian plane PG(2,q) over the given field.
+
+    Each class of dual triples gets its rows from closed forms, in order.
+    """
     q = field.q
     n = q * q + q + 1
     if field._tables is None:
@@ -130,51 +136,61 @@ def build_pg2(field: GaloisField) -> ProjectivePlane:
     add = field._tables["add"]
     mul = field._tables["mul"]
     neg = field._tables["neg"]
-    inv = field._tables["inv"]
-    a_range = np.arange(q, dtype=np.int64)
+    # div[d - 1, x] = x/d for d = 1 .. q-1, as int32 for fast column gathers
+    div = mul[field._tables["inv"][1:]].astype(np.int32)
+    a = np.arange(q, dtype=np.int32)
+    aq = a * q
+    qq = q * q
     line_points = np.empty((n, q + 1), dtype=np.int32)
-
-    for j in range(n):
-        d0, d1, d2 = point_triple(q, j)
-        if d0 == 1:
-            b, c = d1, d2
-            if b != 0:
-                # (1, a2, a3) with 1 + b*a2 + c*a3 = 0
-                a3 = a_range
-                a2 = mul[inv[b], neg[add[1, mul[c, a3]]]]
-                pts = a2 * q + a3
-            else:
-                # b = 0, c != 0: a3 fixed, a2 free
-                a3 = mul[inv[c], neg[1]]
-                pts = a_range * q + a3
-            extra = q * q + mul[inv[c], neg[b]] if c != 0 else q * q + q
-        elif d1 == 1:
-            c = d2
-            # (1, a, b) with a + c*b = 0
-            b = a_range
-            pts = mul[neg[c], b] * q + b
-            extra = (q * q + neg[inv[c]]) if c != 0 else q * q + q
-        else:
-            # dual (0,0,1): all (1, a, 0) plus (0,1,0)
-            pts = a_range * q
-            extra = q * q
-        row = np.empty(q + 1, dtype=np.int64)
-        row[:q] = pts
-        row[q] = extra
-        row.sort()
-        line_points[j] = row
-
-    # dual (1,0,0) has no x=1 solutions; fix it up explicitly
-    j = triple_index(q, (1, 0, 0))
-    row = np.concatenate([q * q + a_range, [q * q + q]])
-    line_points[j] = row
-    return ProjectivePlane(q, line_points, origin="canonical-PG2", field=field,
+    # grid[d1, d2] is line (1, d1, d2); for d2 != 0 it holds
+    # (1, a, -(1 + d1 a)/d2) for every a, then (0, 1, -d1/d2)
+    grid = line_points[:qq].reshape(q, q, q + 1)
+    for d1 in range(q):
+        grid[d1, 1:, :q] = np.take(div, neg[add[1, mul[d1, a]]], axis=1) + aq
+        grid[d1, 1:, q] = qq + div[:, neg[d1]]
+    # (1, d1, 0), d1 != 0: (1, -1/d1, b) for every b, then (0, 0, 1)
+    grid[1:, 0, :q] = div[:, neg[1], None] * q + a
+    grid[1:, 0, q] = n - 1
+    # (1, 0, 0): every (0, 1, a), then (0, 0, 1)
+    grid[0, 0] = np.append(qq + a, n - 1)
+    # (0, 1, d2), d2 != 0: (1, a, -a/d2), then (0, 1, -1/d2)
+    line_points[qq + 1:qq + q, :q] = np.take(div, neg[a], axis=1) + aq
+    line_points[qq + 1:qq + q, q] = qq + div[:, neg[1]]
+    # (0, 1, 0): every (1, 0, b), then (0, 0, 1)
+    line_points[qq] = np.append(a, n - 1)
+    # (0, 0, 1): every (1, a, 0), then (0, 1, 0)
+    line_points[n - 1] = np.append(aq, qq)
+    return _SymmetricPlane(q, line_points, origin="canonical-PG2", field=field,
                            validate=False)
 
 
-@functools.lru_cache(maxsize=None)
+class _SymmetricPlane(ProjectivePlane):
+    """A plane with symmetric incidence, whose `point_lines` is `line_points`.
+
+    Point j lies on line k exactly when k lies on j, so the lines through P
+    are the points on line P.  `_invert` keeps only its degree check, a
+    bincount over row blocks (no n(q+1) intp copy); an index >= n leaves
+    some point short.
+    """
+
+    @staticmethod
+    def _invert(line_points: np.ndarray, n: int, q: int) -> np.ndarray:
+        degrees = np.zeros(n, dtype=np.int64)
+        step = max(1, (1 << 18) // (q + 1))
+        for start in range(0, n, step):
+            degrees += np.bincount(line_points[start:start + step].ravel(),
+                                   minlength=n)[:n]
+        if np.any(degrees != q + 1):
+            raise ValueError("some point is not on exactly q+1 lines")
+        return line_points
+
+
+@functools.lru_cache(maxsize=4)
 def canonical_plane(q: int) -> ProjectivePlane:
-    """Cached canonical PG(2,q) for a prime power q."""
+    """Canonical PG(2,q) for a prime power q; the last four orders are cached.
+
+    The bound keeps a sweep over many orders from holding every plane.
+    """
     return build_pg2(field_for_order(q))
 
 

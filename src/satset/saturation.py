@@ -91,6 +91,16 @@ def _proven(plane: ProjectivePlane, points: set[int]) -> set[int]:
 # incremental state
 # ---------------------------------------------------------------------------
 
+def _grown(buf: np.ndarray, size: int, cap: int) -> np.ndarray:
+    """`buf` if it holds `size` items, else a new buffer of at least that size.
+
+    Growth doubles, up to `cap`, so a run reallocates a few times at most.
+    """
+    if buf.size >= size:
+        return buf
+    return np.empty(min(max(2 * buf.size, size), cap), dtype=buf.dtype)
+
+
 class SaturationState:
     """Mutable chosen/determined/unsaturated bookkeeping for one plane.
 
@@ -108,6 +118,10 @@ class SaturationState:
         self.line_hits = np.zeros(plane.n, dtype=np.int64)
         self.unsat_on_line = np.full(plane.n, plane.q + 1, dtype=np.int64)
         self._unsat_total = plane.n
+        # benefit_vector's gather, index and weight workspace, grown on demand
+        self._gathered = np.empty(0, dtype=np.int32)
+        self._indices = np.empty(0, dtype=np.intp)
+        self._weights = np.empty(0, dtype=np.float64)
 
     @property
     def size(self) -> int:
@@ -129,10 +143,13 @@ class SaturationState:
     def determined_set(self) -> set[int]:
         return set(np.flatnonzero(~self.in_unsat & ~self.in_chosen).tolist())
 
-    def add_point(self, point: int) -> int:
-        """Add a point to the chosen set; returns how many points left R."""
+    def _check_index(self, point: int) -> None:
         if not 0 <= point < self.plane.n:
             raise ValueError(f"point index {point} outside [0, {self.plane.n})")
+
+    def add_point(self, point: int) -> int:
+        """Add a point to the chosen set; returns how many points left R."""
+        self._check_index(point)
         if self.in_chosen[point]:
             raise ValueError(f"point {point} already chosen")
         lines_p = self.plane.point_lines[point]
@@ -159,6 +176,7 @@ class SaturationState:
 
     def benefit(self, point: int) -> int:
         """How many unsaturated points adding `point` would remove."""
+        self._check_index(point)
         if self.in_chosen[point]:
             raise ValueError(f"point {point} is already in the set")
         if not self.chosen:
@@ -174,22 +192,36 @@ class SaturationState:
     def benefit_vector(self) -> np.ndarray:
         """Benefits for all points at once; chosen points get -1.
 
-        Each live line (one carrying a chosen point) adds its unsaturated
-        count to every point on it, in one bincount.  An unsaturated point
-        lies on no secant, so its live lines are exactly one per chosen
-        point, and it is counted |S| times where it should count once.
+        Each live line (one carrying a chosen point and an unsaturated
+        one) adds its unsaturated count to every point on it, in one
+        bincount; a line with no unsaturated point would add 0.  An
+        unsaturated point lies on no secant, so its live lines are exactly
+        one per chosen point, and it is counted |S| times where it should
+        count once.  The bincount's inputs are filled into buffers kept on
+        the state, so steps reuse their memory instead of allocating anew.
         """
         n = self.plane.n
         if not self.chosen:
             out = np.zeros(n, dtype=np.int64)
         else:
-            live = np.flatnonzero(self.line_hits >= 1)
-            pts = self.plane.line_points[live]
-            weights = np.repeat(self.unsat_on_line[live], pts.shape[1])
+            live = np.flatnonzero((self.line_hits >= 1) & (self.unsat_on_line >= 1))
+            width = self.plane.q + 1
+            size, cap = live.size * width, n * width
+            self._gathered = _grown(self._gathered, size, cap)
+            self._indices = _grown(self._indices, size, cap)
+            self._weights = _grown(self._weights, size, cap)
+            gathered = self._gathered[:size].reshape(-1, width)
+            # "clip" writes straight into `out` ("raise" would buffer it);
+            # every live index is in range anyway
+            np.take(self.plane.line_points, live, axis=0, out=gathered, mode="clip")
+            indices = self._indices[:size]
+            indices[...] = gathered.ravel()
+            weights = self._weights[:size].reshape(-1, width)
+            weights[...] = self.unsat_on_line[live, None]
             # float64 weights sum exactly: every total is at most n < 2**53
-            base = np.bincount(pts.ravel(), weights=weights,
-                               minlength=n).astype(np.int64)
-            out = base + np.where(self.in_unsat, 1 - self.size, 0)
+            out = np.bincount(indices, weights=weights.ravel(),
+                              minlength=n).astype(np.int64)
+            out[self.in_unsat] += 1 - self.size
         out[self.in_chosen] = -1
         return out
 

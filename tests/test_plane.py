@@ -1,11 +1,16 @@
+import copy
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from satset.gf import field_for_order
-from satset.plane import (ProjectivePlane, build_pg2, canonical_plane,
-                          load_plane, load_point_set, point_triple,
-                          save_plane, save_point_set, skew_lines,
-                          triple_index, validate_axioms)
+from satset.gf import factor_prime_power, field_for_order
+from satset.plane import (ProjectivePlane, _SymmetricPlane, build_pg2,
+                          canonical_plane, load_plane, load_point_set,
+                          point_triple, save_plane, save_point_set,
+                          skew_lines, triple_index, validate_axioms)
 
 # the Fano plane under the canonical indexing, derived by hand from the
 # dual-triple encoding (line j's dual is the triple of point j)
@@ -244,3 +249,109 @@ def test_constructor_validates_raw_rows():
     rows[0, 0] = 1  # line 0 becomes {1,5,6}: pair (4,?) coverage breaks
     with pytest.raises(ValueError):
         ProjectivePlane(2, rows, origin="test", validate=True)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised builder and the shared table of canonical planes
+# ---------------------------------------------------------------------------
+
+def _is_prime_power(q):
+    try:
+        factor_prime_power(q)
+    except ValueError:
+        return False
+    return True
+
+
+PRIME_POWERS_TO_256 = [q for q in range(2, 257) if _is_prime_power(q)]
+LINE_POINTS_SHA256 = json.loads(
+    (Path(__file__).parent / "data" / "pg2_line_points_sha256.json").read_text())
+
+
+def _dot_oracle_rows(field):
+    """Row j: every P with triple(P) . triple(j) = 0, from raw field arithmetic.
+
+    Uses the field's table-free scalar ops and `point_triple` only, so it
+    shares nothing with `build_pg2`.
+    """
+    q = field.q
+    n = q * q + q + 1
+    add = np.array([[field._raw_add(x, y) for y in range(q)] for x in range(q)])
+    mul = np.array([[field._raw_mul(x, y) for y in range(q)] for x in range(q)])
+    t = np.array([point_triple(q, i) for i in range(n)])
+    dot = add[add[mul[t[:, None, 0], t[None, :, 0]], mul[t[:, None, 1], t[None, :, 1]]],
+              mul[t[:, None, 2], t[None, :, 2]]]
+    on = dot == 0
+    assert np.all(on.sum(axis=1) == q + 1)
+    return np.nonzero(on)[1].reshape(n, q + 1)
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS_TO_256 if q <= 32])
+def test_rows_match_the_dot_product_oracle(q):
+    field = field_for_order(q)
+    assert np.array_equal(build_pg2(field).line_points, _dot_oracle_rows(field))
+
+
+def test_line_points_bytes_match_recorded_goldens():
+    assert sorted(map(int, LINE_POINTS_SHA256)) == PRIME_POWERS_TO_256
+    for q in PRIME_POWERS_TO_256:
+        table = build_pg2(field_for_order(q)).line_points
+        assert table.dtype == np.int32
+        assert hashlib.sha256(table.tobytes()).hexdigest() == LINE_POINTS_SHA256[str(q)], q
+
+
+def test_canonical_incidence_is_symmetric():
+    # the fact the shared table rests on: inverting the rows gives them back
+    for q in (q for q in PRIME_POWERS_TO_256 if q <= 64):
+        pl = build_pg2(field_for_order(q))
+        assert np.array_equal(ProjectivePlane._invert(pl.line_points, pl.n, q),
+                              pl.line_points), q
+
+
+def _assert_true_inverse(pl):
+    rows = np.arange(pl.n)[:, None]
+    through = np.zeros((pl.n, pl.n), dtype=bool)     # [point, line]
+    through[rows, pl.point_lines] = True
+    on = np.zeros((pl.n, pl.n), dtype=bool)          # [line, point]
+    on[rows, pl.line_points] = True
+    assert np.array_equal(through.T, on)
+    assert np.all(np.diff(pl.point_lines, axis=1) > 0)
+
+
+def test_canonical_planes_share_one_table_and_loaded_ones_do_not(tmp_path):
+    pl = build_pg2(field_for_order(7))
+    assert np.shares_memory(pl.point_lines, pl.line_points)
+    assert not pl.line_points.flags.writeable
+    _assert_true_inverse(pl)
+    rng = np.random.default_rng(7)
+    relabel = rng.permutation(pl.n)
+    rows = np.sort(relabel[pl.line_points], axis=1)[rng.permutation(pl.n)]
+    path = tmp_path / "relabelled.txt"
+    save_plane(ProjectivePlane(7, rows, origin="relabelled"), path)
+    loaded = load_plane(path)
+    assert np.array_equal(loaded.line_points, rows)
+    assert not np.shares_memory(loaded.point_lines, loaded.line_points)
+    assert not np.array_equal(loaded.point_lines, loaded.line_points)
+    _assert_true_inverse(loaded)
+    # a canonical plane written out and read back is inverted too
+    save_plane(pl, path)
+    reloaded = load_plane(path)
+    assert reloaded == pl and not np.shares_memory(reloaded.point_lines,
+                                                   reloaded.line_points)
+    assert np.array_equal(reloaded.point_lines, pl.point_lines)
+
+
+def test_degree_check_refuses_a_corrupted_canonical_table():
+    field = copy.copy(field_for_order(5))
+    tables = dict(field._tables)
+    tables["inv"] = tables["inv"].copy()
+    tables["inv"][2] = tables["inv"][3]      # slope 2 now repeats slope 3's lines
+    field._tables = tables
+    with pytest.raises(ValueError, match="exactly q\\+1 lines"):
+        build_pg2(field)
+    good = build_pg2(field_for_order(5)).line_points
+    for bad_value in (-1, good.shape[0]):
+        bad = good.copy()
+        bad[3, 1] = bad_value
+        with pytest.raises(ValueError):
+            _SymmetricPlane._invert(bad, good.shape[0], 5)

@@ -91,6 +91,17 @@ def test_add_point_rejects_indices_outside_the_plane():
     assert state.chosen == [6]
 
 
+def test_benefit_rejects_indices_outside_the_plane():
+    pl = canonical_plane(2)
+    state = SaturationState(pl)
+    for p in (0, 4):
+        state.add_point(p)
+    for bad in (-1, pl.n, 100):
+        with pytest.raises(ValueError, match="outside"):
+            state.benefit(bad)
+    assert state.benefit(6) == 3
+
+
 def test_benefit_examples():
     pl = canonical_plane(2)
     state = SaturationState(pl)
@@ -168,6 +179,26 @@ def test_benefit_vector_matches_oracle_and_scalar(q):
                 assert vec[p] == state.benefit(p) == brute_benefit(pl, chosen, p, unsat)
         checked += 1
     assert checked > 3                          # the greedy walks were checked too
+
+
+@pytest.mark.parametrize("q", [7, 9, 16])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_benefit_vector_results_outlive_later_calls(q, variant):
+    # the kernel reuses workspace buffers; no returned vector may alias them
+    state = SaturationState(canonical_plane(q))
+    state.add_point(0)
+    state.add_point(1)
+    returned = []
+    while state.unsat_count:
+        vec = state.benefit_vector()
+        returned.append((vec, vec.copy()))
+        for p in np.flatnonzero(~state.in_chosen)[::7].tolist():
+            assert vec[p] == state.benefit(p)
+        greedy_step(state, variant)
+    state.benefit_vector()
+    assert len(returned) > 3
+    for vec, kept in returned:
+        assert np.array_equal(vec, kept)
 
 
 def test_benefit_equals_unsaturated_drop():

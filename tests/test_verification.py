@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import satset
-from satset import baer, saturation
+from satset import baer, hypergraph, saturation
 from satset.cli import main
 from satset.plane import canonical_plane
 
@@ -66,9 +66,41 @@ def test_construct_exits_1_when_the_recount_fails(capsys, monkeypatch, argv):
     assert captured.err.count("\n") == 1 and "does not saturate" in captured.err
 
 
+HYPERGRAPH_ARGV = ["hypergraph", "--q", "9", "--s0-size", "4", "--seed", "3"]
+
+
+def test_two_recounts_per_hypergraph_command(capsys, monkeypatch):
+    # one to build the family, one to prove S0 plus its transversal
+    calls = []
+    original = saturation.unsaturated
+
+    def counting(plane, points):
+        calls.append(1)
+        return original(plane, points)
+
+    monkeypatch.setattr(saturation, "unsaturated", counting)
+    monkeypatch.setattr(hypergraph, "unsaturated", counting)
+    assert main(HYPERGRAPH_ARGV) == 0
+    assert capsys.readouterr().out.endswith("saturating=True\n")
+    assert len(calls) == 2
+
+
+def test_hypergraph_exits_1_when_the_recount_fails(capsys, monkeypatch):
+    pl = canonical_plane(9)
+    seed_set = {0, 1, 13, 50}
+    result = hypergraph.greedy_transversal(hypergraph.saturation_family(pl, seed_set))
+    _report_missing_point(monkeypatch)
+    with pytest.raises(saturation.VerificationError):
+        hypergraph.augmented_set(pl, seed_set, result)
+    assert main(HYPERGRAPH_ARGV) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "does not saturate" in captured.err
+
+
 OPTIMIZED_SCRIPT = """
 import sys
-from satset import baer, saturation
+from satset import baer, hypergraph, saturation
 from satset.plane import canonical_plane
 
 if __debug__:
