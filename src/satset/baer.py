@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import subfield_elements
-from .plane import ProjectivePlane, point_triple, triple_index
+from .plane import ProjectivePlane, line_hits, point_triple, triple_index
 from .saturation import _proven
 
 
@@ -64,7 +64,7 @@ def baer_subplane(plane: ProjectivePlane) -> BaerEmbedding:
         lines.append(tuple(int(v) for v in restriction))
 
     # Baer property: every remaining line is a 1-secant of the subplane
-    meets = sub_mask[plane.line_points].sum(axis=1)
+    meets = line_hits(plane, np.array(points))
     secant = np.flatnonzero(meets == s + 1)
     if not (np.all((meets == 1) | (meets == s + 1))
             and np.array_equal(secant, np.array(sorted(line_indices)))):

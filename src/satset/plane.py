@@ -64,9 +64,15 @@ class ProjectivePlane:
     """Incidence structure with q^2+q+1 points and lines, q+1 per line."""
 
     def __init__(self, q: int, line_points: np.ndarray, origin: str,
-                 field: GaloisField | None = None, validate: bool = True):
+                 field: GaloisField | None = None, validate: bool = True,
+                 copy: bool = True):
+        """`copy=False` hands a fresh C-contiguous int32 table over uncopied.
+
+        The plane freezes its table, so by default it takes a copy and
+        never makes read-only an array its caller still holds.
+        """
         n = q * q + q + 1
-        arr = np.ascontiguousarray(np.asarray(line_points, dtype=np.int32))
+        arr = np.array(line_points, dtype=np.int32, order="C", copy=copy or None)
         if validate:
             report = validate_axioms(arr.tolist(), q)
             if not report.ok:
@@ -161,7 +167,7 @@ def build_pg2(field: GaloisField) -> ProjectivePlane:
     # (0, 0, 1): every (1, a, 0), then (0, 1, 0)
     line_points[n - 1] = np.append(aq, qq)
     return _SymmetricPlane(q, line_points, origin="canonical-PG2", field=field,
-                           validate=False)
+                           validate=False, copy=False)
 
 
 class _SymmetricPlane(ProjectivePlane):
@@ -169,18 +175,12 @@ class _SymmetricPlane(ProjectivePlane):
 
     Point j lies on line k exactly when k lies on j, so the lines through P
     are the points on line P.  `_invert` keeps only its degree check, a
-    bincount over row blocks (no n(q+1) intp copy); an index >= n leaves
-    some point short.
+    blocked count over every row; an index >= n leaves some point short.
     """
 
     @staticmethod
     def _invert(line_points: np.ndarray, n: int, q: int) -> np.ndarray:
-        degrees = np.zeros(n, dtype=np.int64)
-        step = max(1, (1 << 18) // (q + 1))
-        for start in range(0, n, step):
-            degrees += np.bincount(line_points[start:start + step].ravel(),
-                                   minlength=n)[:n]
-        if np.any(degrees != q + 1):
+        if np.any(_row_counts(line_points, None, n) != q + 1):
             raise ValueError("some point is not on exactly q+1 lines")
         return line_points
 
@@ -242,14 +242,39 @@ def validate_axioms(rows, q: int | None = None) -> ValidationReport:
     return ValidationReport(True, failures)
 
 
+def _row_counts(table: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
+    """How often each value in [0, n) occurs in `table[rows]` (all rows if None).
+
+    One bincount per block of about max(n, 2^16) entries: no gather of
+    every row, nor its intp copy, is made at once, and each block still
+    outweighs the n counts its bincount returns.  Values >= n are dropped.
+    """
+    counts = np.zeros(n, dtype=np.int64)
+    step = max(1, max(n, 1 << 16) // table.shape[1])
+    for start in range(0, len(table) if rows is None else len(rows), step):
+        block = slice(start, start + step)
+        counts += np.bincount(table[block if rows is None else rows[block]].ravel(),
+                              minlength=n)[:n]
+    return counts
+
+
+def line_hits(plane: ProjectivePlane, points: np.ndarray) -> np.ndarray:
+    """How many of the given (distinct) points lie on each line.
+
+    Reads only the lines through the points: O(len(points) q) work.
+    """
+    return _row_counts(plane.point_lines, points, plane.n)
+
+
+def point_hits(plane: ProjectivePlane, lines: np.ndarray) -> np.ndarray:
+    """How many of the given (distinct) lines pass through each point."""
+    return _row_counts(plane.line_points, lines, plane.n)
+
+
 def skew_lines(plane: ProjectivePlane, points: Iterable[int]) -> list[int]:
     """All lines containing no point of the given set, ascending."""
-    mask = np.zeros(plane.n, dtype=bool)
-    idx = list(points)
-    if idx:
-        mask[idx] = True
-    hits = mask[plane.line_points].sum(axis=1)
-    return np.flatnonzero(hits == 0).tolist()
+    idx = np.fromiter(points, dtype=np.intp)
+    return np.flatnonzero(line_hits(plane, idx) == 0).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +324,7 @@ def load_plane(source) -> ProjectivePlane:
     if not report.ok:
         raise ValueError("axiom failure: " + report.failures[0])
     return ProjectivePlane(q, np.asarray(rows, dtype=np.int32),
-                           origin="loaded-file", validate=False)
+                           origin="loaded-file", validate=False, copy=False)
 
 
 def save_point_set(points: Iterable[int], destination) -> None:

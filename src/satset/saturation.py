@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import formulas
-from .plane import ProjectivePlane
+from .plane import ProjectivePlane, line_hits, point_hits
 from .rng import generator_from_seed, trial_generator
 
 BRUTEFORCE_POINT_CAP = 21
@@ -38,13 +38,13 @@ def _point_mask(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
 
 
 def _covered_mask(plane: ProjectivePlane, mask: np.ndarray) -> np.ndarray:
-    """Points lying on some line with >= 2 marked points."""
-    hits = mask[plane.line_points].sum(axis=1)
-    covered = np.zeros(plane.n, dtype=bool)
-    det = np.flatnonzero(hits >= 2)
-    if det.size:
-        covered[plane.line_points[det].ravel()] = True
-    return covered
+    """Points lying on some line with >= 2 marked points.
+
+    Each such line carries a marked point, so the per-line counts come
+    from the lines through the marked points alone: O(|S| q) work.
+    """
+    hits = line_hits(plane, np.flatnonzero(mask))
+    return point_hits(plane, np.flatnonzero(hits >= 2)) > 0
 
 
 def unsaturated(plane: ProjectivePlane, points: Iterable[int]) -> set[int]:
@@ -108,16 +108,38 @@ class SaturationState:
     unsaturated points (`unsat_on_line`) so that benefits and skew-line
     scans cost O(q) instead of a full recount.  Single-owner: not meant
     to be shared across threads.
+
+    `SaturationState(plane, points)` starts from the given points in one
+    pass, leaving the state that `add_point` calls in the same order
+    would: the points' own secants (`line_hits >= 2`) determine every
+    point on them, and the rest outside the set is unsaturated.
     """
 
-    def __init__(self, plane: ProjectivePlane):
+    def __init__(self, plane: ProjectivePlane, points: Iterable[int] = ()):
+        n = plane.n
         self.plane = plane
-        self.chosen: list[int] = []
-        self.in_chosen = np.zeros(plane.n, dtype=bool)
-        self.in_unsat = np.ones(plane.n, dtype=bool)
-        self.line_hits = np.zeros(plane.n, dtype=np.int64)
-        self.unsat_on_line = np.full(plane.n, plane.q + 1, dtype=np.int64)
-        self._unsat_total = plane.n
+        idx = np.fromiter(points, dtype=np.intp)
+        bad = idx[(idx < 0) | (idx >= n)]
+        if bad.size:
+            self._check_index(int(bad[0]))
+        self.chosen: list[int] = idx.tolist()
+        self.in_chosen = np.zeros(n, dtype=bool)
+        self.in_chosen[idx] = True
+        if np.count_nonzero(self.in_chosen) < idx.size:
+            dup = int(np.flatnonzero(np.bincount(idx, minlength=n) > 1)[0])
+            raise ValueError(f"point {dup} already chosen")
+        self.line_hits = line_hits(plane, idx)
+        determined = point_hits(plane, np.flatnonzero(self.line_hits >= 2)) > 0
+        self.in_unsat = ~determined & ~self.in_chosen
+        unsat = np.flatnonzero(self.in_unsat)
+        # count the smaller side, as every line has q+1 points: a sample
+        # leaves few points unsaturated, an empty state leaves all of them
+        if 2 * unsat.size <= n:
+            self.unsat_on_line = line_hits(plane, unsat)
+        else:
+            rest = np.flatnonzero(~self.in_unsat)
+            self.unsat_on_line = plane.q + 1 - line_hits(plane, rest)
+        self._unsat_total = int(unsat.size)
         # benefit_vector's gather, index and weight workspace, grown on demand
         self._gathered = np.empty(0, dtype=np.int32)
         self._indices = np.empty(0, dtype=np.intp)
@@ -439,7 +461,8 @@ def random_construct(plane: ProjectivePlane, seed: int,
     The inclusion probability defaults to `formulas.sampling_probability`;
     an explicit override in [0, 1] is accepted.  All randomness comes from
     the package PCG64 stream for `seed`, so runs reproduce exactly.  The
-    sample's state is completed in place and the result proven saturating.
+    sample's state is built in one pass, completed in place, and the result
+    proven saturating.
     """
     if p_override is None:
         p = formulas.sampling_probability(plane.q)
@@ -448,9 +471,7 @@ def random_construct(plane: ProjectivePlane, seed: int,
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"sampling probability must lie in [0, 1], got {p}")
     rng = generator_from_seed(seed)
-    state = SaturationState(plane)
-    for point in np.flatnonzero(rng.random(plane.n) < p).tolist():
-        state.add_point(point)
+    state = SaturationState(plane, np.flatnonzero(rng.random(plane.n) < p))
     # Y leaves out the sample itself, so it is n - |X| when |X| < 2
     x_size, y_size = state.size, state.unsat_count
     final = _proven(plane, complete(state))

@@ -318,6 +318,18 @@ def _assert_true_inverse(pl):
     assert np.all(np.diff(pl.point_lines, axis=1) > 0)
 
 
+def test_plane_leaves_the_callers_array_writeable():
+    rows = canonical_plane(2).line_points.copy()
+    pl = ProjectivePlane(2, rows, origin="x")
+    rows[0, 0] = 1
+    assert pl.line_points[0].tolist() == FANO_LINES[0]
+    assert not pl.line_points.flags.writeable
+    # a table handed over with copy=False is kept, and frozen, as it is
+    handed = canonical_plane(2).line_points.copy()
+    pl = ProjectivePlane(2, handed, origin="x", copy=False)
+    assert np.shares_memory(pl.line_points, handed) and not handed.flags.writeable
+
+
 def test_canonical_planes_share_one_table_and_loaded_ones_do_not(tmp_path):
     pl = build_pg2(field_for_order(7))
     assert np.shares_memory(pl.point_lines, pl.line_points)

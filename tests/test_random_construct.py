@@ -3,8 +3,9 @@ import math
 import pytest
 
 from satset.plane import canonical_plane
-from satset.saturation import (is_saturating, monte_carlo_expectation,
-                               random_construct, unsaturated)
+from satset.saturation import (SaturationState, is_saturating,
+                               monte_carlo_expectation, random_construct,
+                               unsaturated)
 from satset.formulas import expected_unsaturated, sampling_probability
 from satset.rng import generator_from_seed
 
@@ -68,6 +69,26 @@ def test_stats_y_is_the_samples_unsaturated_count():
             assert sample <= points
             assert st.sample_size == len(sample)
             assert st.unsaturated_size == len(unsaturated(pl, sample))
+
+
+def test_sample_enters_the_state_in_bulk(monkeypatch):
+    """Only startup and completion points go through add_point."""
+    added = []
+    add_point = SaturationState.add_point
+
+    def counted(state, point):
+        added.append(point)
+        return add_point(state, point)
+
+    monkeypatch.setattr(SaturationState, "add_point", counted)
+    for q, p in ((16, None), (64, None), (16, 0.0), (16, 1 / 273), (16, 0.5), (7, 1.0)):
+        pl = canonical_plane(q)
+        for seed in range(5):
+            added.clear()
+            points, st = random_construct(pl, seed, p)
+            assert len(added) == st.final_size - st.sample_size
+            assert len(added) <= (math.ceil(st.unsaturated_size / 2)
+                                  + st.startup_additions)
 
 
 def test_monte_carlo_degenerate_and_agreement():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from satset.plane import canonical_plane
-from satset.saturation import (VARIANTS, SaturationState, greedy_step,
-                               is_saturating, undetermined_count, unsaturated)
+from satset.formulas import sampling_probability
+from satset.plane import ProjectivePlane, canonical_plane, load_plane, save_plane
+from satset.rng import generator_from_seed
+from satset.saturation import (VARIANTS, SaturationState, _covered_mask,
+                               greedy_step, is_saturating, undetermined_count,
+                               unsaturated)
 
 
 def brute_unsaturated(plane, points):
@@ -235,3 +238,98 @@ def test_add_point_rejects_duplicates():
     state.add_point(3)
     with pytest.raises(ValueError):
         state.add_point(3)
+
+
+@pytest.fixture(scope="module")
+def relabelled_planes(tmp_path_factory):
+    """Seeded relabellings of PG(2,q), saved and loaded, so that
+    `point_lines` is a separate table that differs from `line_points`."""
+    planes = []
+    for q in (4, 16):
+        pl = canonical_plane(q)
+        rng = np.random.default_rng(q)
+        relabel = rng.permutation(pl.n)
+        rows = np.sort(relabel[pl.line_points], axis=1)[rng.permutation(pl.n)]
+        path = tmp_path_factory.mktemp("planes") / f"relabelled{q}.txt"
+        save_plane(ProjectivePlane(q, rows, origin="relabelled"), path)
+        loaded = load_plane(path)
+        assert not np.array_equal(loaded.point_lines, loaded.line_points)
+        planes.append(loaded)
+    return planes
+
+
+def _sample(plane, p, seed):
+    return np.flatnonzero(generator_from_seed(seed).random(plane.n) < p)
+
+
+def _sequential_state(plane, points):
+    state = SaturationState(plane)
+    for p in points:
+        state.add_point(int(p))
+    return state
+
+
+def _assert_same_state(bulk, seq):
+    assert bulk.chosen == seq.chosen
+    assert bulk.unsat_count == seq.unsat_count
+    for name in ("in_chosen", "in_unsat", "line_hits", "unsat_on_line"):
+        a, b = getattr(bulk, name), getattr(seq, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("q,seeds", [(2, 6), (3, 6), (4, 6), (16, 4), (64, 2)])
+def test_bulk_state_equals_sequential_add_point(q, seeds):
+    pl = canonical_plane(q)
+    for p in (0.0, 1 / pl.n, sampling_probability(q), 0.5, 1.0):
+        for seed in range(seeds):
+            pts = _sample(pl, p, seed)
+            _assert_same_state(SaturationState(pl, pts), _sequential_state(pl, pts))
+    # points in any order: `chosen` keeps the order they were given in
+    pts = np.random.default_rng(q).permutation(pl.n)[: pl.n // 3 + 1]
+    _assert_same_state(SaturationState(pl, pts.tolist()), _sequential_state(pl, pts))
+
+
+def test_bulk_state_on_relabelled_planes(relabelled_planes):
+    for pl in relabelled_planes:
+        for p in (1 / pl.n, sampling_probability(pl.q), 0.3, 1.0):
+            for seed in range(4):
+                pts = _sample(pl, p, seed)
+                state = SaturationState(pl, pts)
+                _assert_same_state(state, _sequential_state(pl, pts))
+                assert state.check_partition()
+
+
+def test_bulk_state_rejects_bad_points_as_add_point_does():
+    pl = canonical_plane(2)
+    for bad in ([0, -1], [7], [3, 100], [1, 5, 1], [2, 2]):
+        with pytest.raises(ValueError):
+            SaturationState(pl, bad)
+    with pytest.raises(ValueError, match="outside"):
+        SaturationState(pl, np.array([0, 7]))
+    with pytest.raises(ValueError, match="already chosen"):
+        SaturationState(pl, np.array([4, 0, 4]))
+
+
+def dense_covered(plane, mask):
+    """Reference: each line's marked-point count read off `line_points`,
+    then every point of each line with two or more marked points."""
+    covered = np.zeros(plane.n, dtype=bool)
+    for row in plane.line_points:
+        if np.count_nonzero(mask[row]) >= 2:
+            covered[row] = True
+    return covered
+
+
+def test_sparse_recount_equals_dense_per_line_reference(relabelled_planes):
+    planes = [canonical_plane(q) for q in (2, 3, 4, 7, 16, 32)] + relabelled_planes
+    for pl in planes:
+        for p in (0.0, 1 / pl.n, 0.01, 0.5, 1.0):
+            for seed in range(3):
+                mask = np.zeros(pl.n, dtype=bool)
+                mask[_sample(pl, p, seed)] = True
+                covered = dense_covered(pl, mask)
+                assert np.array_equal(_covered_mask(pl, mask), covered)
+                assert unsaturated(pl, np.flatnonzero(mask)) == \
+                    set(np.flatnonzero(~covered & ~mask).tolist())
+                assert undetermined_count(pl, np.flatnonzero(mask)) == \
+                    pl.n - int(covered.sum())
