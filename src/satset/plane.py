@@ -73,30 +73,49 @@ class ProjectivePlane:
         """
         n = q * q + q + 1
         arr = np.array(line_points, dtype=np.int32, order="C", copy=copy or None)
+        point_lines = None
         if validate:
-            report = validate_axioms(arr.tolist(), q)
-            if not report.ok:
-                raise ValueError("invalid plane: " + report.failures[0])
+            failure, point_lines = _check_axioms(arr, q)
+            if failure is not None:
+                raise ValueError("invalid plane: " + failure)
         if arr.shape != (n, q + 1):
             raise ValueError(f"expected {n}x{q + 1} incidence array, got {arr.shape}")
+        if point_lines is None:
+            point_lines = self._invert(arr, n, q)
+        self._adopt(q, arr, point_lines, origin, field)
+
+    @classmethod
+    def _checked(cls, q: int, line_points: np.ndarray, point_lines: np.ndarray,
+                 origin: str) -> ProjectivePlane:
+        """A plane over tables that `_check_axioms` has proven and inverted."""
+        plane = cls.__new__(cls)
+        plane._adopt(q, line_points, point_lines, origin, None)
+        return plane
+
+    def _adopt(self, q, line_points, point_lines, origin, field) -> None:
         self.q = q
-        self.n = n
+        self.n = q * q + q + 1
         self.origin = origin
         self.field = field
-        self.line_points = arr
-        self.point_lines = self._invert(arr, n, q)
+        self.line_points = line_points
+        self.point_lines = point_lines
         self.line_points.setflags(write=False)
         self.point_lines.setflags(write=False)
 
     @staticmethod
     def _invert(line_points: np.ndarray, n: int, q: int) -> np.ndarray:
-        flat = line_points.ravel()
-        line_idx = np.repeat(np.arange(n, dtype=np.int32), q + 1)
-        order = np.argsort(flat, kind="stable")
-        grouped = flat[order].reshape(n, q + 1)
-        if not np.array_equal(grouped[:, 0], np.arange(n)) or np.any(grouped[:, 0:1] != grouped):
+        """The lines through each point, ascending: one sort of keys point*n + line.
+
+        Entry for entry this is a stable argsort of the entries grouped by
+        point.  Raises unless every point lies on exactly q+1 lines.
+        """
+        owner = np.repeat(np.arange(n, dtype=np.int64), q + 1)
+        keys = line_points.ravel().astype(np.int64) * n + owner
+        keys.sort()
+        points, lines = np.divmod(keys, n)
+        if not np.array_equal(points, owner):
             raise ValueError("some point is not on exactly q+1 lines")
-        return np.ascontiguousarray(line_idx[order].reshape(n, q + 1))
+        return lines.astype(np.int32).reshape(n, q + 1)
 
     def __eq__(self, other):
         # round-trip identity ignores the origin tag
@@ -195,51 +214,67 @@ def canonical_plane(q: int) -> ProjectivePlane:
 
 
 def validate_axioms(rows, q: int | None = None) -> ValidationReport:
-    """Check the projective-plane axioms, reporting the failures found.
+    """Check the projective-plane axioms, reporting the first failure found.
 
-    Accepts a ProjectivePlane or a raw list of line rows (with ``q``).
-    Beyond the structural checks, it verifies that every unordered point
-    pair lies on exactly one common line; together with the line-size and
-    point-degree counts this forces the dual axiom (two lines meet in
-    exactly one point) by double counting, so it is not checked separately.
+    Accepts a ProjectivePlane, or with ``q`` a 2-D integer array of line
+    rows or a list of rows, ragged ones included.  Arrays are checked as
+    they are, with no conversion to lists.  The checks run in a fixed
+    order and the first failure is the one reported: the line count; then
+    the first row with the wrong size, an index outside [0, n) or entries
+    not strictly ascending (in that order within a row); the point
+    degrees; and, point by point, every unordered pair lying on exactly
+    one common line.  Together with the line-size and point-degree counts
+    the last forces the dual axiom (two lines meet in exactly one point)
+    by double counting, so it is not checked separately.
     """
     if isinstance(rows, ProjectivePlane):
         q = rows.q
-        rows = rows.line_points.tolist()
+        rows = rows.line_points
     if q is None:
         raise ValueError("q is required when validating raw rows")
+    failure, _ = _check_axioms(rows, q)
+    return ValidationReport(failure is None, [] if failure is None else [failure])
+
+
+def _check_axioms(rows, q: int) -> tuple[str | None, np.ndarray | None]:
+    """`validate_axioms`' first failure, or None and the inverted table."""
     n = q * q + q + 1
-    failures: list[str] = []
     if len(rows) != n:
-        failures.append(f"line count: expected {n} lines, got {len(rows)}")
-        return ValidationReport(False, failures)
-    for j, row in enumerate(rows):
-        if len(row) != q + 1:
-            failures.append(f"line size: line {j} has {len(row)} points, expected {q + 1}")
-            return ValidationReport(False, failures)
-        if any(not 0 <= v < n for v in row):
-            failures.append(f"point index: line {j} has an index outside [0, {n})")
-            return ValidationReport(False, failures)
-        if any(row[i] >= row[i + 1] for i in range(q)):
-            failures.append(f"ascending: line {j} is not strictly ascending")
-            return ValidationReport(False, failures)
-    arr = np.asarray(rows, dtype=np.int32)
-    degrees = np.bincount(arr.ravel(), minlength=n)
+        return f"line count: expected {n} lines, got {len(rows)}", None
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        sized = n if rows.shape[1] == q + 1 else 0
+        table = rows[:sized]
+    else:
+        sized = next((j for j, row in enumerate(rows) if len(row) != q + 1), n)
+        try:
+            table = np.array(rows[:sized], dtype=np.int64).reshape(sized, q + 1)
+        except OverflowError:
+            # an index beyond int64 is out of range however large: clip it to n
+            table = np.array([[min(max(v, -1), n) for v in row] for row in rows[:sized]],
+                             dtype=np.int64)
+    bad_range = ((table < 0) | (table >= n)).any(axis=1)
+    bad = np.flatnonzero(bad_range | (np.diff(table, axis=1) <= 0).any(axis=1))
+    if bad.size:
+        j = int(bad[0])
+        if bad_range[j]:
+            return f"point index: line {j} has an index outside [0, {n})", None
+        return f"ascending: line {j} is not strictly ascending", None
+    if sized < n:
+        return f"line size: line {sized} has {len(rows[sized])} points, expected {q + 1}", None
+    degrees = np.bincount(table.ravel(), minlength=n)
     if np.any(degrees != q + 1):
         bad = int(np.flatnonzero(degrees != q + 1)[0])
-        failures.append(f"point degree: point {bad} lies on {int(degrees[bad])} lines, "
-                        f"expected {q + 1}")
-        return ValidationReport(False, failures)
-    point_lines = ProjectivePlane._invert(arr, n, q)
+        return (f"point degree: point {bad} lies on {int(degrees[bad])} lines, "
+                f"expected {q + 1}"), None
+    point_lines = ProjectivePlane._invert(table, n, q)
     for p in range(n):
-        counts = np.bincount(arr[point_lines[p]].ravel(), minlength=n)
+        counts = np.bincount(table[point_lines[p]].ravel(), minlength=n)
         counts[p] = 1
         if np.any(counts != 1):
             other = int(np.flatnonzero(counts != 1)[0])
             word = "no common line" if counts[other] == 0 else "more than one common line"
-            failures.append(f"unique meet: points {p} and {other} have {word}")
-            return ValidationReport(False, failures)
-    return ValidationReport(True, failures)
+            return f"unique meet: points {p} and {other} have {word}", None
+    return None, point_lines
 
 
 def _row_counts(table: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
@@ -274,6 +309,9 @@ def point_hits(plane: ProjectivePlane, lines: np.ndarray) -> np.ndarray:
 def skew_lines(plane: ProjectivePlane, points: Iterable[int]) -> list[int]:
     """All lines containing no point of the given set, ascending."""
     idx = np.fromiter(points, dtype=np.intp)
+    outside = (idx < 0) | (idx >= plane.n)
+    if outside.any():
+        raise ValueError(f"point index {int(idx[outside][0])} outside [0, {plane.n})")
     return np.flatnonzero(line_hits(plane, idx) == 0).tolist()
 
 
@@ -289,7 +327,14 @@ def save_plane(plane: ProjectivePlane, destination) -> None:
 
 
 def load_plane(source) -> ProjectivePlane:
-    """Read and fully validate a plane file; raises ValueError on any defect."""
+    """Read and fully validate a plane file; raises ValueError on any defect.
+
+    The data rows are parsed once into one int32 table, which is checked
+    and inverted as an array.  A token is an ASCII decimal integer with at
+    most one sign.  The first defect in file order is the one reported, as the
+    row-by-row checks find it: leading or trailing whitespace, then a
+    non-integer token, then the first failure of `validate_axioms`.
+    """
     text = Path(source).read_text()
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -312,19 +357,52 @@ def load_plane(source) -> ProjectivePlane:
     data = lines[2:]
     if len(data) != n:
         raise ValueError(f"line count: expected {n} data rows, got {len(data)}")
+    table = _parse_rows(text[len(lines[0]) + len(lines[1]) + 2:], data)
+    if table is None or len(table) != n:
+        raise ValueError(_first_row_failure(data, q))
+    failure, point_lines = _check_axioms(table, q)
+    if failure is not None:
+        raise ValueError("axiom failure: " + failure)
+    return ProjectivePlane._checked(q, table, point_lines, origin="loaded-file")
+
+
+_ROW_CHARS = b"0123456789+- \n"
+
+
+def _parse_rows(body: str, data: list[str]) -> np.ndarray | None:
+    """The data rows as one int32 table, or None if the parse fails.
+
+    It fails on any character but digits, signs, spaces and newlines, on
+    a token numpy cannot read as an int32 (the empty one a leading,
+    trailing or doubled space makes included) and on rows of unequal
+    length.  It skips blank rows, so the caller checks the row count too.
+    """
+    if not body.isascii() or body.encode("ascii").translate(None, _ROW_CHARS):
+        return None
+    try:
+        return np.loadtxt(data, dtype=np.int32, delimiter=" ", comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _first_row_failure(data: list[str], q: int) -> str:
+    """Why `_parse_rows` refused the data rows, found row by row.
+
+    Only a failed parse calls this.  Every refused file fails here: a
+    refused character, an unreadable token or a blank row fails the
+    whitespace or token test, a token outside int32 the range check and
+    rows of unequal length the size check.
+    """
     rows = []
     for j, row_text in enumerate(data):
         if row_text != row_text.strip():
-            raise ValueError(f"line {j}: leading or trailing whitespace")
-        try:
-            rows.append([int(tok) for tok in row_text.split(" ")])
-        except ValueError:
-            raise ValueError(f"line {j}: non-integer token") from None
-    report = validate_axioms(rows, q)
-    if not report.ok:
-        raise ValueError("axiom failure: " + report.failures[0])
-    return ProjectivePlane(q, np.asarray(rows, dtype=np.int32),
-                           origin="loaded-file", validate=False, copy=False)
+            return f"line {j}: leading or trailing whitespace"
+        tokens = row_text.split(" ")
+        digits = (tok[1:] if tok[:1] in ("+", "-") else tok for tok in tokens)
+        if not all(d.isascii() and d.isdigit() for d in digits):
+            return f"line {j}: non-integer token"
+        rows.append([int(tok) for tok in tokens])
+    return "axiom failure: " + _check_axioms(rows, q)[0]
 
 
 def save_point_set(points: Iterable[int], destination) -> None:

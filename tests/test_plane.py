@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from satset.gf import factor_prime_power, field_for_order
-from satset.plane import (ProjectivePlane, _SymmetricPlane, build_pg2,
+from satset.plane import (ProjectivePlane, ValidationReport, _SymmetricPlane, build_pg2,
                           canonical_plane, load_plane, load_point_set,
                           point_triple, save_plane, save_point_set,
                           skew_lines, triple_index, validate_axioms)
@@ -367,3 +367,261 @@ def test_degree_check_refuses_a_corrupted_canonical_table():
         bad[3, 1] = bad_value
         with pytest.raises(ValueError):
             _SymmetricPlane._invert(bad, good.shape[0], 5)
+
+
+# ---------------------------------------------------------------------------
+# first-failure messages, one per defect class, recorded from the per-row
+# loader; edits are made to the canonical PG(2,3) rows
+# ---------------------------------------------------------------------------
+
+def _q3_rows(edits=None):
+    rows = canonical_plane(3).line_points.tolist()
+    for j, row in (edits or {}).items():
+        rows[j] = row
+    return rows
+
+
+def _q3_file(edits=None, header="PLANE v1", order="q=3", rows=None, end="\n"):
+    rows = _q3_rows(edits) if rows is None else rows
+    body = [r if isinstance(r, str) else " ".join(map(str, r)) for r in rows]
+    return "\n".join([header, order, *body]) + end
+
+
+# name: (row edits, first failure of validate_axioms)
+AXIOM_GOLDEN = {
+    "ragged row": ({3: [6, 7, 8]}, "line size: line 3 has 3 points, expected 4"),
+    "20-digit index": ({2: [1, 4, 7, 12345678901234567890]},
+                       "point index: line 2 has an index outside [0, 13)"),
+    "index too large": ({0: [9, 10, 11, 999]},
+                        "point index: line 0 has an index outside [0, 13)"),
+    "index n": ({12: [0, 3, 6, 13]}, "point index: line 12 has an index outside [0, 13)"),
+    "negative index": ({11: [-1, 4, 8, 10]},
+                       "point index: line 11 has an index outside [0, 13)"),
+    "not ascending": ({9: [0, 2, 1, 12]}, "ascending: line 9 is not strictly ascending"),
+    "repeated index": ({6: [3, 4, 4, 12]}, "ascending: line 6 is not strictly ascending"),
+    "range beats ascending on a row": ({4: [6, 4, 2, 99]},
+                                       "point index: line 4 has an index outside [0, 13)"),
+    "earlier row wins": ({2: [1, 7, 4, 9], 5: [1, 5, 6, 13]},
+                         "ascending: line 2 is not strictly ascending"),
+    "size beats a later range": ({1: [2, 5, 8, 9, 10], 7: [2, 3, 7, 99]},
+                                 "line size: line 1 has 5 points, expected 4"),
+    "point degree": ({0: [8, 10, 11, 12]}, "point degree: point 8 lies on 5 lines, expected 4"),
+    "no common line": ({0: [2, 9, 11, 12], 1: [5, 8, 9, 10]},
+                       "unique meet: points 2 and 5 have no common line"),
+    "more than one common line": ({1: [4, 5, 8, 9], 2: [1, 2, 7, 9]},
+                                  "unique meet: points 1 and 2 have more than one common line"),
+}
+
+# name: (plane file text, load_plane's ValueError)
+LOAD_GOLDEN = {
+    "bad header": (_q3_file(header="PLANE v2"),
+                   "bad header: expected 'PLANE v1', got 'PLANE v2'"),
+    "missing header": ("PLANE v1\n", "plane file is missing its header"),
+    "no order line": (_q3_file(order="order=3"), "second line must be q=<order>"),
+    "bad order line": (_q3_file(order="q=three"), "bad order line 'q=three'"),
+    "order below 2": (_q3_file(order="q=1"), "order must be >= 2, got 1"),
+    "missing final newline": (_q3_file(end=""), "plane file must end with a newline"),
+    "line count": (_q3_file(rows=_q3_rows()[:-1]),
+                   "line count: expected 13 data rows, got 12"),
+    "leading whitespace": (_q3_file({5: " 1 5 6 10"}),
+                           "line 5: leading or trailing whitespace"),
+    "trailing whitespace": (_q3_file({7: "2 3 7 10\t"}),
+                            "line 7: leading or trailing whitespace"),
+    "vertical tab": (_q3_file({0: "9 10 11 12\x0b"}),
+                     "line 0: leading or trailing whitespace"),
+    "blank row": (_q3_file({4: ""}), "line 4: non-integer token"),
+    "double space": (_q3_file({8: "1 3  8 11"}), "line 8: non-integer token"),
+    "non-integer token": (_q3_file({6: "3 4 x 12"}), "line 6: non-integer token"),
+    "decimal point": (_q3_file({10: "0 5 7 11.0"}), "line 10: non-integer token"),
+    "doubled sign": (_q3_file({11: "0 4 +-8 10"}), "line 11: non-integer token"),
+    "token beats later whitespace": (_q3_file({3: "6 7 8 1e1", 8: "1 3 8 11 "}),
+                                     "line 3: non-integer token"),
+    "whitespace beats later token": (_q3_file({2: " 1 4 7 9", 8: "1 3 8 x"}),
+                                     "line 2: leading or trailing whitespace"),
+    "token beats earlier axiom failure": (_q3_file({1: [2, 5, 99, 9], 10: "0 5 7 -"}),
+                                          "line 10: non-integer token"),
+    **{f"axiom: {name}": (_q3_file(edits), "axiom failure: " + failure)
+       for name, (edits, failure) in AXIOM_GOLDEN.items()},
+}
+
+
+@pytest.mark.parametrize("name", LOAD_GOLDEN)
+def test_load_plane_first_failure_messages(tmp_path, name):
+    text, message = LOAD_GOLDEN[name]
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_plane(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", AXIOM_GOLDEN)
+def test_validate_axioms_first_failure_messages(name):
+    edits, failure = AXIOM_GOLDEN[name]
+    rows = _q3_rows(edits)
+    assert validate_axioms(rows, 3) == ValidationReport(False, [failure])
+    if len({len(r) for r in rows}) == 1 and max(map(max, rows)) < 2**31:
+        table = np.array(rows)
+        assert validate_axioms(table, 3) == ValidationReport(False, [failure])
+        with pytest.raises(ValueError) as info:
+            ProjectivePlane(3, table, origin="test")
+        assert str(info.value) == "invalid plane: " + failure
+
+
+def test_validate_axioms_line_count_message():
+    rows = _q3_rows()[:-1]
+    expect = ValidationReport(False, ["line count: expected 13 lines, got 12"])
+    assert validate_axioms(rows, 3) == expect
+    assert validate_axioms(np.array(rows), 3) == expect
+
+
+def test_unvalidated_plane_still_checks_point_degrees():
+    rows = np.array(_q3_rows(AXIOM_GOLDEN["point degree"][0]))
+    with pytest.raises(ValueError) as info:
+        ProjectivePlane(3, rows, origin="test", validate=False)
+    assert str(info.value) == "some point is not on exactly q+1 lines"
+
+
+def test_load_plane_reads_crlf_signs_and_zero_padding(tmp_path):
+    text = _q3_file({0: "+9 10 011 12", 3: "6 7 8 0012"}).replace("\n", "\r\n")
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    assert load_plane(path) == canonical_plane(3)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the per-row validator over lists of ints and the
+# stable-argsort inversion, as they were before the array path
+# ---------------------------------------------------------------------------
+
+def _reference_invert(line_points, n, q):
+    flat = line_points.ravel()
+    line_idx = np.repeat(np.arange(n, dtype=np.int32), q + 1)
+    order = np.argsort(flat, kind="stable")
+    grouped = flat[order].reshape(n, q + 1)
+    if not np.array_equal(grouped[:, 0], np.arange(n)) or np.any(grouped[:, 0:1] != grouped):
+        raise ValueError("some point is not on exactly q+1 lines")
+    return np.ascontiguousarray(line_idx[order].reshape(n, q + 1))
+
+
+def _reference_validate_axioms(rows, q):
+    n = q * q + q + 1
+    failures = []
+    if len(rows) != n:
+        failures.append(f"line count: expected {n} lines, got {len(rows)}")
+        return ValidationReport(False, failures)
+    for j, row in enumerate(rows):
+        if len(row) != q + 1:
+            failures.append(f"line size: line {j} has {len(row)} points, expected {q + 1}")
+            return ValidationReport(False, failures)
+        if any(not 0 <= v < n for v in row):
+            failures.append(f"point index: line {j} has an index outside [0, {n})")
+            return ValidationReport(False, failures)
+        if any(row[i] >= row[i + 1] for i in range(q)):
+            failures.append(f"ascending: line {j} is not strictly ascending")
+            return ValidationReport(False, failures)
+    arr = np.asarray(rows, dtype=np.int32)
+    degrees = np.bincount(arr.ravel(), minlength=n)
+    if np.any(degrees != q + 1):
+        bad = int(np.flatnonzero(degrees != q + 1)[0])
+        failures.append(f"point degree: point {bad} lies on {int(degrees[bad])} lines, "
+                        f"expected {q + 1}")
+        return ValidationReport(False, failures)
+    point_lines = _reference_invert(arr, n, q)
+    for p in range(n):
+        counts = np.bincount(arr[point_lines[p]].ravel(), minlength=n)
+        counts[p] = 1
+        if np.any(counts != 1):
+            other = int(np.flatnonzero(counts != 1)[0])
+            word = "no common line" if counts[other] == 0 else "more than one common line"
+            failures.append(f"unique meet: points {p} and {other} have {word}")
+            return ValidationReport(False, failures)
+    return ValidationReport(True, failures)
+
+
+def _relabelled_rows(q, rng):
+    pl = canonical_plane(q)
+    relabel = rng.permutation(pl.n)
+    return np.sort(relabel[pl.line_points], axis=1)[rng.permutation(pl.n)]
+
+
+def _mutants(q, seed, count=80):
+    """The relabelled plane, then seeded mutations of it as lists of rows.
+
+    Most change one entry: to -1, to n, past n, to a row neighbour's value
+    or to any index, the row then re-sorted or not.  Some drop an entry, and
+    some swap two points between two lines, which keeps every degree.
+    """
+    rng = np.random.default_rng(seed)
+    base = _relabelled_rows(q, rng)
+    n = base.shape[0]
+    yield base.tolist()
+    for _ in range(count):
+        rows = base.copy()
+        j, k = (int(v) for v in rng.integers((n, q + 1)))
+        kind = int(rng.integers(7))
+        if kind == 5:
+            ragged = rows.tolist()
+            del ragged[j][k]
+            yield ragged
+            continue
+        if kind == 6:
+            other = int(rng.integers(n))
+            x, y = rows[j, k], rows[other, int(rng.integers(q + 1))]
+            if x in rows[other] or y in rows[j]:
+                continue
+            rows[j, k], rows[other, rows[other] == y] = y, x
+            rows[[j, other]] = np.sort(rows[[j, other]], axis=1)
+            yield rows.tolist()
+            continue
+        rows[j, k] = (-1, n, n + int(rng.integers(1, 50)),
+                      rows[j, k - 1 if k else 1], int(rng.integers(n)))[kind]
+        if rng.random() < 0.5:
+            rows[j].sort()
+        yield rows.tolist()
+
+
+def test_validate_axioms_matches_the_reference_on_mutated_planes():
+    kinds = set()
+    for q in (3, 4, 7, 9):
+        for rows in _mutants(q, seed=q):
+            expect = _reference_validate_axioms(rows, q)
+            assert validate_axioms(rows, q) == expect
+            if len({len(r) for r in rows}) == 1:
+                assert validate_axioms(np.array(rows), q) == expect
+                assert validate_axioms(np.array(rows, dtype=np.int32), q) == expect
+            kinds.add(expect.failures[0].split(":")[0] if expect.failures else "ok")
+    assert kinds == {"ok", "line size", "point index", "ascending", "point degree",
+                     "unique meet"}
+
+
+def test_invert_matches_a_stable_argsort(tmp_path):
+    for q in (3, 4, 7, 9):
+        rows = _relabelled_rows(q, np.random.default_rng(q)).astype(np.int32)
+        n = rows.shape[0]
+        assert np.array_equal(ProjectivePlane._invert(rows, n, q),
+                              _reference_invert(rows, n, q))
+        path = tmp_path / f"p{q}.txt"
+        save_plane(ProjectivePlane(q, rows, origin="relabelled"), path)
+        loaded = load_plane(path)
+        assert np.array_equal(loaded.point_lines, _reference_invert(rows, n, q))
+        save_plane(canonical_plane(q), path)
+        canon = canonical_plane(q).line_points
+        assert np.array_equal(load_plane(path).point_lines, _reference_invert(canon, n, q))
+
+
+@pytest.mark.parametrize("row", ["9 10 11 1_2", "9 10 11 \u0661\u0662", "9 10\t 11 12"])
+def test_load_plane_tokens_are_ascii_decimal_integers(tmp_path, row):
+    # int() reads each of these rows as 9 10 11 12; the file format does not
+    path = tmp_path / "p.txt"
+    path.write_text(_q3_file({0: row}))
+    with pytest.raises(ValueError, match="^line 0: non-integer token$"):
+        load_plane(path)
+
+
+def test_skew_lines_refuses_indices_outside_the_plane():
+    pl = canonical_plane(2)
+    for points, bad in (([-1], -1), ([0, 7], 7), ({3, 99}, 99)):
+        with pytest.raises(ValueError) as info:
+            skew_lines(pl, points)
+        assert str(info.value) == f"point index {bad} outside [0, 7)"
