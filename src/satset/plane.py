@@ -72,12 +72,13 @@ class ProjectivePlane:
         never makes read-only an array its caller still holds.
         """
         n = q * q + q + 1
-        arr = np.array(line_points, dtype=np.int32, order="C", copy=copy or None)
         point_lines = None
         if validate:
-            failure, point_lines = _check_axioms(arr, q)
+            # the raw rows, so ragged ones and out-of-range values get named
+            failure, point_lines = _check_axioms(line_points, q)
             if failure is not None:
                 raise ValueError("invalid plane: " + failure)
+        arr = np.array(line_points, dtype=np.int32, order="C", copy=copy or None)
         if arr.shape != (n, q + 1):
             raise ValueError(f"expected {n}x{q + 1} incidence array, got {arr.shape}")
         if point_lines is None:
@@ -243,7 +244,7 @@ def _check_axioms(rows, q: int) -> tuple[str | None, np.ndarray | None]:
         return f"line count: expected {n} lines, got {len(rows)}", None
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
         sized = n if rows.shape[1] == q + 1 else 0
-        table = rows[:sized]
+        table = rows[:sized] if rows.dtype.kind == "i" else rows[:sized].astype(np.int64)
     else:
         sized = next((j for j, row in enumerate(rows) if len(row) != q + 1), n)
         try:
@@ -270,7 +271,8 @@ def _check_axioms(rows, q: int) -> tuple[str | None, np.ndarray | None]:
     for p in range(n):
         counts = np.bincount(table[point_lines[p]].ravel(), minlength=n)
         counts[p] = 1
-        if np.any(counts != 1):
+        # the (q+1)^2 entries sum to n here, so some count is not 1 iff one is 0
+        if np.count_nonzero(counts) < n:
             other = int(np.flatnonzero(counts != 1)[0])
             word = "no common line" if counts[other] == 0 else "more than one common line"
             return f"unique meet: points {p} and {other} have {word}", None

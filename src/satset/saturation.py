@@ -119,9 +119,7 @@ class SaturationState:
         n = plane.n
         self.plane = plane
         idx = np.fromiter(points, dtype=np.intp)
-        bad = idx[(idx < 0) | (idx >= n)]
-        if bad.size:
-            self._check_index(int(bad[0]))
+        self._check_indices(idx)
         self.chosen: list[int] = idx.tolist()
         self.in_chosen = np.zeros(n, dtype=bool)
         self.in_chosen[idx] = True
@@ -169,6 +167,11 @@ class SaturationState:
         if not 0 <= point < self.plane.n:
             raise ValueError(f"point index {point} outside [0, {self.plane.n})")
 
+    def _check_indices(self, idx: np.ndarray) -> None:
+        bad = idx[(idx < 0) | (idx >= self.plane.n)]
+        if bad.size:
+            self._check_index(int(bad[0]))
+
     def add_point(self, point: int) -> int:
         """Add a point to the chosen set; returns how many points left R."""
         self._check_index(point)
@@ -199,17 +202,22 @@ class SaturationState:
     def benefit(self, point: int) -> int:
         """How many unsaturated points adding `point` would remove."""
         self._check_index(point)
-        if self.in_chosen[point]:
-            raise ValueError(f"point {point} is already in the set")
+        return int(self.benefits([point])[0])
+
+    def benefits(self, points) -> np.ndarray:
+        """`benefit` of each given unchosen point, from its own lines: O(k q)."""
+        idx = np.asarray(points, dtype=np.intp)
+        self._check_indices(idx)
+        taken = idx[self.in_chosen[idx]]
+        if taken.size:
+            raise ValueError(f"point {int(taken[0])} is already in the set")
         if not self.chosen:
-            return 0
-        lines_p = self.plane.point_lines[point]
-        live = self.line_hits[lines_p] >= 1
-        base = int(self.unsat_on_line[lines_p[live]].sum())
-        if self.in_unsat[point]:
-            # the candidate sits on every one of its own live lines
-            return base + 1 - int(live.sum())
-        return base
+            return np.zeros(idx.size, dtype=np.int64)
+        lines = self.plane.point_lines[idx].astype(np.intp)  # one cast, not one per take
+        live = np.take(self.line_hits, lines) >= 1
+        out = (np.take(self.unsat_on_line, lines) * live).sum(axis=1)
+        # an unsaturated candidate lies on all its live lines but counts once
+        return out + self.in_unsat[idx] * (1 - live.sum(axis=1))
 
     def benefit_vector(self) -> np.ndarray:
         """Benefits for all points at once; chosen points get -1.
@@ -303,13 +311,15 @@ def _select(state: SaturationState, variant: str) -> _Selection:
     plane = state.plane
     skew = np.flatnonzero(state.line_hits == 0)
     l_star = min_int = benefit_sum = None
-    bvec = state.benefit_vector()
+    # the skew variant needs only its skew line's benefits, global all of them
+    bvec = state.benefit_vector() if variant == "global" or not skew.size else None
     if skew.size:
         counts = state.unsat_on_line[skew]
         k = int(np.argmin(counts))          # first minimum = lowest line index
         l_star, min_int = int(skew[k]), int(counts[k])
         line_pts = plane.line_points[l_star]
-        benefit_sum = int(bvec[line_pts].sum())
+        line_benefits = state.benefits(line_pts) if bvec is None else bvec[line_pts]
+        benefit_sum = int(line_benefits.sum())
         # double count: each unsaturated point on the line is removable
         # only by itself, each one off it by its |S| connecting points
         i, r = state.size, state.unsat_count
@@ -317,12 +327,10 @@ def _select(state: SaturationState, variant: str) -> _Selection:
             "benefit double-count identity failed"
         assert min_int * plane.q <= r, \
             "minimum skew intersection exceeded |R|/q"
-    if variant == "skew" and l_star is not None:
-        cands = plane.line_points[l_star]
-        pick = int(cands[np.argmax(bvec[cands])])
-    else:
-        pick = int(np.argmax(bvec))
-    return _Selection(pick, int(bvec[pick]), l_star, min_int, benefit_sum)
+    scores = line_benefits if bvec is None else bvec
+    k = int(np.argmax(scores))              # rows ascend: first maximum = lowest index
+    pick = int(line_pts[k]) if bvec is None else k
+    return _Selection(pick, int(scores[k]), l_star, min_int, benefit_sum)
 
 
 def _apply(state: SaturationState, sel: _Selection) -> StepRecord:

@@ -74,6 +74,9 @@ GREEDY_JSON_SHA256 = {
     (27, "global"): "864553e8c4432bad2cd5e456bc426f253d4b4b9c7352229f4fce886df6a89842",
     (64, "skew"): "bb745b84c044dc0c732ecae7d246b47075d40fe3b1c8efad6ae5f81a2bceaf28",
     (64, "global"): "5fe0ef414ae0afb512d10a7b14626972e49e3f1e813f4a0b4dd648ace1c0febf",
+    (128, "skew"): "957022d980384a9b6f1fdc6205932abbe0feff759868062ea3bb06308067e3b6",
+    (128, "global"): "0ccbd2bfcd355685f07d9dee11ed8091ae1e2321d1e6c5b8765ea747c7d11c0c",
+    (256, "skew"): "03e0c1ac09d9268eac1ff599fabdbd5fc118f3a0267f6651dd9a89a3d131dffa",
 }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from satset import saturation
 from satset.formulas import default_step_cap, theorem_bound
 from satset.plane import canonical_plane, skew_lines
 from satset.saturation import (SaturationState, greedy_construct, greedy_step,
@@ -84,6 +85,44 @@ def test_skew_variant_falls_back_to_global():
     rec = greedy_step(state, "skew")
     assert rec.skew_line is None and rec.min_skew_intersection is None
     assert rec.benefit >= 1
+
+
+def count_vector_builds(monkeypatch):
+    """Count `_select` calls and `benefit_vector` builds from here on."""
+    calls = {"select": 0, "vector": 0}
+    select, vector = saturation._select, SaturationState.benefit_vector
+
+    def counted_select(state, variant):
+        calls["select"] += 1
+        return select(state, variant)
+
+    def counted_vector(self):
+        calls["vector"] += 1
+        return vector(self)
+
+    monkeypatch.setattr(saturation, "_select", counted_select)
+    monkeypatch.setattr(SaturationState, "benefit_vector", counted_vector)
+    return calls
+
+
+def test_skew_greedy_scores_its_line_without_the_benefit_vector(monkeypatch):
+    calls = count_vector_builds(monkeypatch)
+    _, trace = greedy_construct(canonical_plane(16), "skew")
+    assert all(rec.skew_line is not None for rec in trace[2:])
+    assert calls["select"] >= len(trace) - 2 > 0
+    assert calls["vector"] == 0
+    # with no skew line left, the skew step falls back to the vector
+    pl = canonical_plane(3)
+    state = SaturationState(pl, pl.points_on_line(0))
+    greedy_step(state, "skew")
+    assert calls["vector"] == 1
+
+
+def test_global_greedy_builds_one_vector_per_selection(monkeypatch):
+    calls = count_vector_builds(monkeypatch)
+    _, trace = greedy_construct(canonical_plane(16), "global")
+    assert calls["select"] >= len(trace) - 2 > 0
+    assert calls["vector"] == calls["select"]
 
 
 def test_greedy_rejects_unknown_options():

@@ -249,6 +249,10 @@ def test_constructor_validates_raw_rows():
     rows[0, 0] = 1  # line 0 becomes {1,5,6}: pair (4,?) coverage breaks
     with pytest.raises(ValueError):
         ProjectivePlane(2, rows, origin="test", validate=True)
+    # tables of other dtypes are taken as the int32 table they become
+    for dtype in (np.int64, np.uint16, np.float64):
+        table = canonical_plane(2).line_points.astype(dtype)
+        assert ProjectivePlane(2, table, origin="test") == canonical_plane(2)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +464,9 @@ def test_validate_axioms_first_failure_messages(name):
     edits, failure = AXIOM_GOLDEN[name]
     rows = _q3_rows(edits)
     assert validate_axioms(rows, 3) == ValidationReport(False, [failure])
+    with pytest.raises(ValueError) as info:
+        ProjectivePlane(3, rows, origin="test")
+    assert str(info.value) == "invalid plane: " + failure
     if len({len(r) for r in rows}) == 1 and max(map(max, rows)) < 2**31:
         table = np.array(rows)
         assert validate_axioms(table, 3) == ValidationReport(False, [failure])

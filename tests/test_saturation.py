@@ -102,7 +102,16 @@ def test_benefit_rejects_indices_outside_the_plane():
     for bad in (-1, pl.n, 100):
         with pytest.raises(ValueError, match="outside"):
             state.benefit(bad)
+    # the kernel names the first bad point as the scalar does, chosen ones too
+    for bad in (-1, pl.n, 100, 0, 4):
+        messages = []
+        for call in (lambda: state.benefit(bad), lambda: state.benefits([2, bad, 3])):
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
     assert state.benefit(6) == 3
+    assert state.benefits([]).size == 0
 
 
 def test_benefit_examples():
@@ -146,6 +155,24 @@ def test_benefit_vector_matches_scalar():
             assert vec[p] == -1
         else:
             assert vec[p] == state.benefit(p)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_benefits_kernel_matches_vector_oracle_and_scalar(q):
+    pl = canonical_plane(q)
+    rng = np.random.default_rng(100 + q)
+    for size in range(q + 3):
+        state = SaturationState(pl, rng.choice(pl.n, size=size, replace=False))
+        chosen = state.current_set
+        unsat = brute_unsaturated(pl, chosen)
+        free = np.flatnonzero(~state.in_chosen)
+        got = state.benefits(free)
+        vec = state.benefit_vector()
+        assert np.array_equal(got, vec[free])
+        for p, b in zip(free.tolist(), got.tolist()):
+            assert b == state.benefit(p) == brute_benefit(pl, chosen, p, unsat)
+        some = rng.permutation(free)[: free.size // 3]
+        assert np.array_equal(state.benefits(some), vec[some])
 
 
 def kernel_states(q):
