@@ -235,7 +235,10 @@ def cmd_hypergraph(args, parser) -> int:
     rng = generator_from_seed(args.seed)
     seed_set = set(int(v) for v in
                    rng.choice(pl.n, size=args.s0_size, replace=False))
-    family = hypergraph.saturation_family(pl, seed_set)
+    try:
+        family = hypergraph.saturation_family(pl, seed_set)
+    except ValueError as exc:
+        parser.error(str(exc))
     result = hypergraph.greedy_transversal(family)
     augmented = hypergraph.augmented_set(pl, seed_set, result)
     print(f"q={pl.q} n={pl.n} s0_size={args.s0_size} seed={args.seed}")

@@ -26,47 +26,70 @@ from .saturation import _proven, unsaturated
 
 FAMILY_HEADER = "FAMILY v1"
 
+# Largest family `saturation_family` builds, in bytes of its bool incidence
+# matrix, the float32 copy the Gram product reads and the m x m product.
+FAMILY_BYTES_CAP = 1 << 31
 
-@dataclass(frozen=True)
+
 class SetFamily:
     """A list of vertex subsets over a ground set [0, ground_size).
 
-    `labels`, when present, records the originating unsaturated point of
-    each edge of a saturation family.
+    The read-only m x ground_size bool `incidence` (row k marks edge k) is
+    the primary data; `edges`, the same sets as frozensets, is derived on
+    first use.  `labels`, when present, records the originating
+    unsaturated point of each edge of a saturation family.
     """
-    ground_size: int
-    edges: tuple[frozenset[int], ...]
-    labels: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        for k, edge in enumerate(self.edges):
+    def __init__(self, ground_size: int, edges: Iterable[Iterable[int]],
+                 labels: tuple[int, ...] | None = None):
+        edges = tuple(frozenset(e) for e in edges)
+        incidence = np.zeros((len(edges), ground_size), dtype=bool)
+        for k, edge in enumerate(edges):
             if not edge:
                 raise ValueError(f"edge {k} is empty")
-            if min(edge) < 0 or max(edge) >= self.ground_size:
-                raise ValueError(f"edge {k} has a vertex outside "
-                                 f"[0, {self.ground_size})")
-        if self.labels is not None and len(self.labels) != len(self.edges):
+            if min(edge) < 0 or max(edge) >= ground_size:
+                raise ValueError(f"edge {k} has a vertex outside [0, {ground_size})")
+            incidence[k, list(edge)] = True
+        self._adopt(incidence, labels)
+        self.__dict__["edges"] = edges      # fills the cached property below
+
+    @classmethod
+    def _from_incidence(cls, incidence: np.ndarray, labels=None) -> SetFamily:
+        """A family over a bool matrix whose every row is a nonempty edge."""
+        family = cls.__new__(cls)
+        family._adopt(incidence, labels)
+        return family
+
+    def _adopt(self, incidence, labels) -> None:
+        if labels is not None and len(labels) != len(incidence):
             raise ValueError("labels must match edges one to one")
+        incidence.setflags(write=False)
+        self.ground_size, self.incidence, self.labels = incidence.shape[1], incidence, labels
 
     def __len__(self):
-        return len(self.edges)
+        return len(self.incidence)
 
     @functools.cached_property
-    def incidence(self) -> np.ndarray:
-        """Read-only m x ground_size bool matrix; row k marks edge k."""
-        matrix = np.zeros((len(self.edges), self.ground_size), dtype=bool)
-        for k, edge in enumerate(self.edges):
-            matrix[k, list(edge)] = True
-        matrix.setflags(write=False)
-        return matrix
+    def edges(self) -> tuple[frozenset[int], ...]:
+        """The edges as frozensets, read off the incidence rows on first use."""
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.incidence)
 
     @functools.cached_property
-    def packed(self) -> np.ndarray:
-        """`incidence` rows bit-packed by `np.packbits`, zero-padded to uint64 words."""
-        packed = np.packbits(self.incidence, axis=1)
-        packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
-        packed.setflags(write=False)
-        return packed
+    def intersections(self) -> np.ndarray:
+        """Read-only m x m int32 matrix of |H_i ∩ H_j|, edge sizes on the diagonal.
+
+        One float32 product `a @ a.T`, which numpy hands to BLAS as a
+        symmetric rank-k update.  Every partial sum is a whole number no
+        larger than an edge, so float32 holds it exactly up to 2^24.
+        """
+        if self.ground_size > 1 << 24:
+            raise ValueError(f"ground set of {self.ground_size} exceeds 2^24")
+        a = self.incidence.astype(np.float32)
+        gram = a @ a.T
+        del a                                   # before the int32 copy
+        gram = gram.astype(np.int32)
+        gram.setflags(write=False)
+        return gram
 
 
 @dataclass
@@ -78,40 +101,38 @@ class TransversalResult:
     t: int | None
 
 
-def _lines_through(plane: ProjectivePlane, x: int) -> np.ndarray:
-    """Length-n table whose entry v is the line joining x and v (v != x)."""
-    through = np.empty(plane.n, dtype=np.int32)
-    lines = plane.point_lines[x]
-    through[plane.line_points[lines]] = lines[:, None]
-    return through
+def _joins(plane: ProjectivePlane, s0: list[int], points: list[int]) -> np.ndarray:
+    """joins[k, i]: the line through s0[k] and points[i] (points outside s0)."""
+    through = np.empty((len(s0), plane.n), dtype=np.int32)
+    for k, s in enumerate(s0):
+        lines = plane.point_lines[s]
+        through[k, plane.line_points[lines]] = lines[:, None]
+    return through[:, points]
 
 
 def saturation_family(plane: ProjectivePlane, seed_set: Iterable[int]) -> SetFamily:
-    """One edge per unsaturated point: the points that would saturate it."""
+    """One edge per unsaturated point: the points that would saturate it.
+
+    Refuses, before any m x n allocation, a family above `FAMILY_BYTES_CAP`.
+    """
     s0 = sorted(set(int(v) for v in seed_set))
     if len(s0) < 2:
         raise ValueError("the seed set needs at least 2 points")
     missing = sorted(unsaturated(plane, s0))   # also validates the indices
-    # joins[k, i]: the line through s0[k] and missing[i]
-    joins = np.stack([_lines_through(plane, s)[missing] for s in s0])
-    members = np.zeros((len(missing), plane.n), dtype=bool)
-    rows = np.arange(len(missing))[:, None, None]
-    members[rows, plane.line_points[joins.T]] = True
+    m, n = len(missing), plane.n
+    if (needed := 5 * m * n + 4 * m * m) > FAMILY_BYTES_CAP:
+        raise ValueError(f"saturation family of {m} edges over {n} points needs {needed >> 20} "
+                         f"MiB, above the {FAMILY_BYTES_CAP >> 20} MiB ceiling")
+    members = np.zeros((m, n), dtype=bool)
+    rows = np.arange(m)[:, None, None]
+    members[rows, plane.line_points[_joins(plane, s0, missing).T]] = True
     members[:, s0] = False
-    edges = tuple(frozenset(np.flatnonzero(row).tolist()) for row in members)
-    return SetFamily(ground_size=plane.n, edges=edges, labels=tuple(missing) or None)
-
-
-def _row_intersections(family: SetFamily, i: int) -> np.ndarray:
-    """|H_i ∩ H_j| for every j > i, from the bit-packed edge rows."""
-    packed = family.packed
-    return np.bitwise_count(packed[i] & packed[i + 1:]).sum(axis=1, dtype=np.int64)
+    return SetFamily._from_incidence(members, tuple(missing) or None)
 
 
 def pairwise_intersection_sizes(family: SetFamily) -> list[int]:
     """|H_i ∩ H_j| for all i < j, in row-major pair order."""
-    return [size for i in range(len(family.edges))
-            for size in _row_intersections(family, i).tolist()]
+    return family.intersections[np.triu_indices(len(family), 1)].tolist()
 
 
 def check_uniform_intersecting(family: SetFamily) -> tuple[int | None, int | None]:
@@ -120,10 +141,11 @@ def check_uniform_intersecting(family: SetFamily) -> tuple[int | None, int | Non
     r is None unless every edge has the same size; t is None unless the
     family has at least two edges.  t is always computed, never trusted.
     """
-    sizes = {len(e) for e in family.edges}
-    r = sizes.pop() if len(sizes) == 1 else None
-    t = min((int(_row_intersections(family, i).min())
-             for i in range(len(family.edges) - 1)), default=None)
+    sizes = family.incidence.sum(axis=1)
+    r = int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else None
+    # the whole matrix has the off-diagonal minimum: a diagonal entry
+    # |H_i| bounds |H_i ∩ H_j| from above along its row
+    t = int(family.intersections.min()) if len(family) >= 2 else None
     return r, t
 
 
@@ -136,17 +158,17 @@ def intersection_lemma_holds(plane: ProjectivePlane, family: SetFamily,
     It is compared against intersections counted from the edges, so the
     two sides come from independent data.
     """
+    if family.labels is None:
+        raise ValueError("the lemma check needs a labelled family (one label per edge)")
     s0 = sorted(set(int(v) for v in seed_set))
     k, q = len(s0), plane.q
-    s0_hits = np.bincount(plane.point_lines[s0].ravel(), minlength=plane.n)
-    predicted_size = np.where(s0_hits == 0, k * (k - 1), (k - 1) * (k - 2) + q)
-    labels = np.asarray(family.labels)
-    for i in range(len(labels) - 1):
-        through = _lines_through(plane, int(labels[i]))
-        predicted = predicted_size[through[labels[i + 1:]]]
-        if not np.array_equal(predicted, _row_intersections(family, i)):
-            return False
-    return True
+    meets = np.zeros((len(family), len(family)), dtype=bool)
+    for line in _joins(plane, s0, list(family.labels)):   # x_i, x_j, s collinear
+        meets |= line[:, None] == line
+    gram = family.intersections
+    holds = np.where(meets, gram == (k - 1) * (k - 2) + q, gram == k * (k - 1))
+    np.fill_diagonal(holds, True)
+    return bool(holds.all())
 
 
 def transversal_bound(r: int, t: int, m: int) -> int:
@@ -176,7 +198,7 @@ def greedy_transversal(family: SetFamily) -> TransversalResult:
     (r, t) from `check_uniform_intersecting` and, for a uniform family with
     m >= 2, the `transversal_bound` value for callers to compare against.
     """
-    m = len(family.edges)
+    m = len(family)
     r, t = check_uniform_intersecting(family)
     bound = transversal_bound(r, t, m) if (r is not None and m >= 2) else None
     incidence = family.incidence
@@ -191,7 +213,7 @@ def greedy_transversal(family: SetFamily) -> TransversalResult:
         covered_counts.append(int(newly.sum()))
         degree -= incidence[newly].sum(axis=0, dtype=np.int64)
         uncovered &= ~newly
-    assert all(any(v in e for v in picks) for e in family.edges)
+    assert incidence[:, picks].any(axis=1).all()
     return TransversalResult(picks, covered_counts, bound, r, t)
 
 
@@ -210,8 +232,8 @@ def augmented_set(plane: ProjectivePlane, seed_set: Iterable[int],
 # ---------------------------------------------------------------------------
 
 def save_family(family: SetFamily, destination) -> None:
-    out = [f"{FAMILY_HEADER} n={family.ground_size} m={len(family.edges)}"]
-    out.extend(" ".join(str(v) for v in sorted(e)) for e in family.edges)
+    out = [f"{FAMILY_HEADER} n={family.ground_size} m={len(family)}"]
+    out.extend(" ".join(map(str, np.flatnonzero(row).tolist())) for row in family.incidence)
     Path(destination).write_text("\n".join(out) + "\n")
 
 

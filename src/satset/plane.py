@@ -308,12 +308,23 @@ def point_hits(plane: ProjectivePlane, lines: np.ndarray) -> np.ndarray:
     return _row_counts(plane.line_points, lines, plane.n)
 
 
+def _point_indices(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
+    """The given points as one intp array; the first outside [0, n) raises."""
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    try:
+        idx = np.asarray(points, dtype=np.intp)
+        bad = idx[(idx < 0) | (idx >= plane.n)]
+    except OverflowError:        # beyond intp, so outside the plane as well
+        bad = [v for v in points if not 0 <= v < plane.n]
+    if len(bad):
+        raise ValueError(f"point index {int(bad[0])} outside [0, {plane.n})")
+    return idx
+
+
 def skew_lines(plane: ProjectivePlane, points: Iterable[int]) -> list[int]:
     """All lines containing no point of the given set, ascending."""
-    idx = np.fromiter(points, dtype=np.intp)
-    outside = (idx < 0) | (idx >= plane.n)
-    if outside.any():
-        raise ValueError(f"point index {int(idx[outside][0])} outside [0, {plane.n})")
+    idx = _point_indices(plane, points)
     return np.flatnonzero(line_hits(plane, idx) == 0).tolist()
 
 

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import formulas
-from .plane import ProjectivePlane, line_hits, point_hits
+from .plane import ProjectivePlane, _point_indices, line_hits, point_hits
 from .rng import generator_from_seed, trial_generator
 
 BRUTEFORCE_POINT_CAP = 21
@@ -29,11 +29,7 @@ BRUTEFORCE_POINT_CAP = 21
 
 def _point_mask(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
     mask = np.zeros(plane.n, dtype=bool)
-    idx = np.fromiter(points, dtype=np.int64, count=-1)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= plane.n:
-            raise ValueError(f"point index outside [0, {plane.n})")
-        mask[idx] = True
+    mask[_point_indices(plane, points)] = True
     return mask
 
 
@@ -118,8 +114,7 @@ class SaturationState:
     def __init__(self, plane: ProjectivePlane, points: Iterable[int] = ()):
         n = plane.n
         self.plane = plane
-        idx = np.fromiter(points, dtype=np.intp)
-        self._check_indices(idx)
+        idx = _point_indices(plane, points)
         self.chosen: list[int] = idx.tolist()
         self.in_chosen = np.zeros(n, dtype=bool)
         self.in_chosen[idx] = True
@@ -163,18 +158,10 @@ class SaturationState:
     def determined_set(self) -> set[int]:
         return set(np.flatnonzero(~self.in_unsat & ~self.in_chosen).tolist())
 
-    def _check_index(self, point: int) -> None:
-        if not 0 <= point < self.plane.n:
-            raise ValueError(f"point index {point} outside [0, {self.plane.n})")
-
-    def _check_indices(self, idx: np.ndarray) -> None:
-        bad = idx[(idx < 0) | (idx >= self.plane.n)]
-        if bad.size:
-            self._check_index(int(bad[0]))
-
     def add_point(self, point: int) -> int:
         """Add a point to the chosen set; returns how many points left R."""
-        self._check_index(point)
+        if not 0 <= point < self.plane.n:
+            raise ValueError(f"point index {point} outside [0, {self.plane.n})")
         if self.in_chosen[point]:
             raise ValueError(f"point {point} already chosen")
         lines_p = self.plane.point_lines[point]
@@ -201,13 +188,11 @@ class SaturationState:
 
     def benefit(self, point: int) -> int:
         """How many unsaturated points adding `point` would remove."""
-        self._check_index(point)
         return int(self.benefits([point])[0])
 
     def benefits(self, points) -> np.ndarray:
         """`benefit` of each given unchosen point, from its own lines: O(k q)."""
-        idx = np.asarray(points, dtype=np.intp)
-        self._check_indices(idx)
+        idx = _point_indices(self.plane, points)
         taken = idx[self.in_chosen[idx]]
         if taken.size:
             raise ValueError(f"point {int(taken[0])} is already in the set")

@@ -250,11 +250,12 @@ def test_hypergraph_command(capsys):
 
 
 # sha256 of the `hypergraph` stdout; q=25 seed 1701 has a collinear triple
-# in s0 (m=462), seed 1702 is in general position (m=421)
+# in s0 (m=462), seed 1702 is in general position (m=421; m=2070 at q=49)
 HYPERGRAPH_SHA256 = {
     (9, 4, 3): "9b9818bd6913a750a4479090c3242573cddc2af4c5ff777caeef23227b7ecae5",
     (25, 5, 1701): "b8f74ad82b0906f7c5257ae64ef468eb4420a112146b65ce7a6c7d0e8dabf7de",
     (25, 5, 1702): "d27093add1c7bbc50199818e489f89997de8b3df79ba5e3581c717eafd6ce4b2",
+    (49, 5, 1702): "281e00fd4b76126b3389c2c73a2b9e755bad6707947fe0464d65d3073523a06c",
 }
 
 

@@ -1,8 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from satset import hypergraph
+from satset.cli import main
 from satset.hypergraph import (SetFamily, check_uniform_intersecting,
                                greedy_transversal, intersection_lemma_holds,
                                load_family,
@@ -170,8 +173,11 @@ def test_family_file_round_trip(tmp_path):
     fam = saturation_family(pl, {0, 1, 9})
     path = tmp_path / "fam.txt"
     save_family(fam, path)
+    assert "edges" not in fam.__dict__          # written from the incidence rows
     loaded = load_family(path)
     assert loaded.ground_size == fam.ground_size
+    assert np.array_equal(loaded.incidence, fam.incidence)
+    assert np.array_equal(loaded.intersections, fam.intersections)
     assert loaded.edges == fam.edges
     text = path.read_text()
     assert text.startswith(f"FAMILY v1 n={pl.n} m={len(fam)}\n")
@@ -224,6 +230,8 @@ def reference_transversal(family: SetFamily) -> tuple[list[int], list[int]]:
 
 def kernel_families() -> list[SetFamily]:
     families = [
+        SetFamily(5, ()),
+        SetFamily(9, (frozenset({4, 2, 7}),)),
         sunflower(core=2, petal=8, m=20),
         SetFamily(5, (frozenset({1, 2, 3}), frozenset({1, 2, 3}))),
         SetFamily(5, (frozenset({0}), frozenset({1, 2}))),
@@ -280,3 +288,92 @@ def test_intersection_lemma_holds_and_detects_a_perturbed_edge():
     perturbed = SetFamily(fam.ground_size, fam.edges[:-1] + (swapped,), fam.labels)
     assert check_uniform_intersecting(perturbed)[0] == len(edge)
     assert not intersection_lemma_holds(pl, perturbed, seed_set)
+
+
+# ---------------------------------------------------------------------------
+# the array-backed family and its Gram matrix
+# ---------------------------------------------------------------------------
+
+def test_incidence_built_family_equals_edge_built_family():
+    for fam in kernel_families():
+        from_rows = SetFamily._from_incidence(fam.incidence.copy(), fam.labels)
+        from_edges = SetFamily(fam.ground_size, fam.edges, fam.labels)
+        for built in (from_rows, from_edges):
+            assert built.ground_size == fam.ground_size
+            assert built.labels == fam.labels
+            assert built.edges == fam.edges
+            assert np.array_equal(built.incidence, fam.incidence)
+            assert np.array_equal(built.intersections, fam.intersections)
+            assert len(built) == len(fam)
+    pl = canonical_plane(9)
+    fam = saturation_family(pl, {0, 13, 47, 88})
+    rebuilt = SetFamily(pl.n, fam.edges, fam.labels)
+    assert np.array_equal(rebuilt.incidence, fam.incidence)
+    assert np.array_equal(rebuilt.intersections, fam.intersections)
+
+
+def test_intersection_matrix_matches_frozenset_oracle():
+    for fam in kernel_families():
+        gram = fam.intersections
+        m = len(fam)
+        assert gram.shape == (m, m) and gram.dtype == np.int32
+        assert not gram.flags.writeable
+        assert not fam.incidence.flags.writeable
+        assert gram.tolist() == [[len(a & b) for b in fam.edges] for a in fam.edges]
+
+
+def test_lemma_check_needs_labels():
+    pl = canonical_plane(3)
+    fam = SetFamily(pl.n, (frozenset({1, 2, 3}), frozenset({3, 4, 5})))
+    with pytest.raises(ValueError, match="labelled family"):
+        intersection_lemma_holds(pl, fam, {0, 6})
+
+
+def test_one_gram_product_and_no_edges_per_cli_op(capsys, monkeypatch):
+    families, products = [], []
+    build = hypergraph.saturation_family
+    gram = SetFamily.intersections.func
+
+    def recording(plane, seed_set):
+        families.append(build(plane, seed_set))
+        return families[-1]
+
+    def counting(family):
+        products.append(family)
+        return gram(family)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(SetFamily, "intersections")
+    monkeypatch.setattr(hypergraph, "saturation_family", recording)
+    monkeypatch.setattr(SetFamily, "intersections", counted)
+    assert main(["hypergraph", "--q", "9", "--s0-size", "4", "--seed", "3"]) == 0
+    assert "lemma_check=PASS" in capsys.readouterr().out
+    family, = families
+    assert products == [family]
+    assert "edges" not in family.__dict__
+
+
+def test_family_ceiling_refuses_before_building(capsys, monkeypatch):
+    pl = canonical_plane(9)
+    seed_set = {0, 13, 47, 88}
+    m = len(unsaturated(pl, seed_set))
+    needed = 5 * m * pl.n + 4 * m * m
+    monkeypatch.setattr(hypergraph, "FAMILY_BYTES_CAP", needed)
+    assert len(saturation_family(pl, seed_set)) == m          # at the ceiling
+    monkeypatch.setattr(hypergraph, "FAMILY_BYTES_CAP", needed - 1)
+
+    def unreachable(*args):
+        raise AssertionError("the family was built")
+
+    monkeypatch.setattr(hypergraph, "_joins", unreachable)
+    with pytest.raises(ValueError, match="ceiling"):
+        saturation_family(pl, seed_set)
+    monkeypatch.setattr(hypergraph, "FAMILY_BYTES_CAP", 1000)
+    with pytest.raises(SystemExit) as info:
+        main(["hypergraph", "--q", "9", "--s0-size", "4", "--seed", "3"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = captured.err.splitlines()[-1]
+    assert "ceiling" in message and "Traceback" not in captured.err
+

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from satset.formulas import sampling_probability
-from satset.plane import ProjectivePlane, canonical_plane, load_plane, save_plane
+from satset.plane import (ProjectivePlane, canonical_plane, load_plane, save_plane,
+                          skew_lines)
 from satset.rng import generator_from_seed
 from satset.saturation import (VARIANTS, SaturationState, _covered_mask,
                                greedy_step, is_saturating, undetermined_count,
@@ -324,6 +325,27 @@ def test_bulk_state_on_relabelled_planes(relabelled_planes):
                 state = SaturationState(pl, pts)
                 _assert_same_state(state, _sequential_state(pl, pts))
                 assert state.check_partition()
+
+
+@pytest.mark.parametrize("bad", [2**70, -2**70, 2**64])
+def test_array_entry_points_reject_indices_beyond_int64(bad):
+    # the scalar entry points and the array ones name the same bad point
+    pl = canonical_plane(2)
+    state = SaturationState(pl, [0, 4])
+    expected = f"point index {bad} outside [0, 7)"
+    for call in (lambda: SaturationState(pl, [bad]),
+                 lambda: SaturationState(pl, [1, bad]),
+                 lambda: state.benefits([bad]),
+                 lambda: state.benefits([2, bad, 3]),
+                 lambda: skew_lines(pl, [bad]),
+                 lambda: unsaturated(pl, [bad]),
+                 lambda: unsaturated(pl, {1, bad}),
+                 lambda: state.add_point(bad),
+                 lambda: state.benefit(bad)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == expected
+    assert state.chosen == [0, 4]
 
 
 def test_bulk_state_rejects_bad_points_as_add_point_does():
