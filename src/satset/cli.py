@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baer, formulas, hypergraph, plane as plane_mod, saturation
-from .gf import _TABLE_CAP, factor_prime_power
+from .gf import TABLE_CAP, factor_prime_power
 from .plane import ProjectivePlane, canonical_plane, load_plane, load_point_set
 from .rng import generator_from_seed
 
@@ -47,8 +47,8 @@ def _plane_order(value: str, parser) -> int:
         parser.error(f"{value} is not a prime power")
     if q < 2:
         parser.error("plane order must be >= 2")
-    if q > _TABLE_CAP:
-        parser.error(f"plane order {q} exceeds the largest supported order {_TABLE_CAP}")
+    if q > TABLE_CAP:
+        parser.error(f"plane order {q} exceeds the largest supported order {TABLE_CAP}")
     return q
 
 
@@ -94,6 +94,10 @@ def cmd_construct(args, parser) -> int:
         parser.error("--p only applies to --method random")
     if args.method != "greedy" and args.cap is not None:
         parser.error("--cap only applies to --method greedy")
+    if args.cap is not None and args.stop_rule != "step-cap":
+        parser.error("--cap only applies with --stop-rule step-cap")
+    if args.cap is not None and args.cap < 2:
+        parser.error(f"--cap must be >= 2 (the starting pair is always in), got {args.cap}")
 
     variant = stop_rule = seed = None
     stats = None
@@ -176,9 +180,7 @@ def cmd_verify(args, parser) -> int:
     pl = _resolve_plane(args, parser)
     try:
         points = load_point_set(args.points)
-        outside = [v for v in points if not 0 <= v < pl.n]
-        if outside:
-            raise ValueError(f"point index {min(outside)} outside [0, {pl.n})")
+        plane_mod._point_indices(pl, sorted(points))   # names the smallest bad index
     except (OSError, ValueError) as exc:
         parser.error(f"cannot load point set: {exc}")
     missing = sorted(saturation.unsaturated(pl, points))

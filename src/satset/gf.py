@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 ORDER_CAP = 2**20          # largest supported field order p^e
-_TABLE_CAP = 1024          # orders up to this get full lookup tables
+TABLE_CAP = 1024           # orders up to this get full lookup tables
 
 
 def is_prime(n: int) -> bool:
@@ -125,9 +125,9 @@ def _canonical_irreducible(p: int, e: int) -> tuple[int, ...]:
 class GaloisField:
     """GF(p^e) with integer-encoded elements and optional lookup tables.
 
-    For q <= 1024 full add/mul/neg/inv tables are precomputed (the plane
-    builder indexes them in tight loops); larger fields fall back to
-    on-the-fly polynomial arithmetic.
+    For q <= TABLE_CAP, `tables` holds full read-only int32 "add", "neg",
+    "mul" and "inv" arrays (the plane builder indexes them in bulk); for
+    larger fields it is None and arithmetic runs on polynomials.
     """
 
     def __init__(self, p: int, e: int):
@@ -142,9 +142,7 @@ class GaloisField:
         self.e = e
         self.q = q
         self.irreducible = _canonical_irreducible(p, e) if e > 1 else None
-        self._tables = None
-        if q <= _TABLE_CAP:
-            self._build_tables()
+        self.tables = self._build_tables() if q <= TABLE_CAP else None
 
     def __repr__(self):
         return f"GaloisField(p={self.p}, e={self.e})"
@@ -204,7 +202,7 @@ class GaloisField:
                 return g
         return 1  # q = 2
 
-    def _build_tables(self):
+    def _build_tables(self) -> dict[str, np.ndarray]:
         p, e, q = self.p, self.e, self.q
         idx = np.arange(q, dtype=np.int64)
         dig = np.empty((q, e), dtype=np.int64)
@@ -230,7 +228,11 @@ class GaloisField:
         mul[:, 0] = 0
         inv = np.zeros(q, dtype=np.int64)
         inv[exp] = exp[(-np.arange(q - 1)) % (q - 1)]
-        self._tables = {"add": add, "neg": neg, "mul": mul, "inv": inv}
+        tables = {}
+        for name, table in (("add", add), ("neg", neg), ("mul", mul), ("inv", inv)):
+            tables[name] = table.astype(np.int32)
+            tables[name].setflags(write=False)
+        return tables
 
     # -- public ops ----------------------------------------------------
 
@@ -241,14 +243,14 @@ class GaloisField:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self._tables is not None:
-            return int(self._tables["add"][a, b])
+        if self.tables is not None:
+            return int(self.tables["add"][a, b])
         return self._raw_add(a, b)
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self._tables is not None:
-            return int(self._tables["neg"][a])
+        if self.tables is not None:
+            return int(self.tables["neg"][a])
         return self._raw_neg(a)
 
     def sub(self, a: int, b: int) -> int:
@@ -257,16 +259,16 @@ class GaloisField:
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self._tables is not None:
-            return int(self._tables["mul"][a, b])
+        if self.tables is not None:
+            return int(self.tables["mul"][a, b])
         return self._raw_mul(a, b)
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._tables is not None:
-            return int(self._tables["inv"][a])
+        if self.tables is not None:
+            return int(self.tables["inv"][a])
         return self._raw_pow(a, self.q - 2)
 
     def pow(self, a: int, k: int) -> int:
@@ -276,8 +278,8 @@ class GaloisField:
         if a == 0:
             return 1 if k == 0 else 0
         result, base = 1, a
-        if self._tables is not None:
-            mul = self._tables["mul"]
+        if self.tables is not None:
+            mul = self.tables["mul"]
             while k:
                 if k & 1:
                     result = int(mul[result, base])

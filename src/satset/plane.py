@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf import GaloisField, field_for_order
+from .gf import TABLE_CAP, GaloisField, field_for_order
 
 PLANE_HEADER = "PLANE v1"
 
@@ -63,34 +63,25 @@ class ValidationReport:
 class ProjectivePlane:
     """Incidence structure with q^2+q+1 points and lines, q+1 per line."""
 
-    def __init__(self, q: int, line_points: np.ndarray, origin: str,
-                 field: GaloisField | None = None, validate: bool = True,
-                 copy: bool = True):
-        """`copy=False` hands a fresh C-contiguous int32 table over uncopied.
+    def __init__(self, q: int, line_points, origin: str):
+        """A plane over the caller's rows, proven and copied.
 
-        The plane freezes its table, so by default it takes a copy and
-        never makes read-only an array its caller still holds.
+        The axioms are checked on the raw rows, so ragged ones and
+        out-of-range values get named; the plane keeps its own frozen
+        int32 copy and never makes read-only an array its caller holds.
         """
-        n = q * q + q + 1
-        point_lines = None
-        if validate:
-            # the raw rows, so ragged ones and out-of-range values get named
-            failure, point_lines = _check_axioms(line_points, q)
-            if failure is not None:
-                raise ValueError("invalid plane: " + failure)
-        arr = np.array(line_points, dtype=np.int32, order="C", copy=copy or None)
-        if arr.shape != (n, q + 1):
-            raise ValueError(f"expected {n}x{q + 1} incidence array, got {arr.shape}")
-        if point_lines is None:
-            point_lines = self._invert(arr, n, q)
-        self._adopt(q, arr, point_lines, origin, field)
+        failure, point_lines = _check_axioms(line_points, q)
+        if failure is not None:
+            raise ValueError("invalid plane: " + failure)
+        self._adopt(q, np.array(line_points, dtype=np.int32, order="C"), point_lines,
+                    origin, None)
 
     @classmethod
-    def _checked(cls, q: int, line_points: np.ndarray, point_lines: np.ndarray,
-                 origin: str) -> ProjectivePlane:
-        """A plane over tables that `_check_axioms` has proven and inverted."""
+    def _trusted(cls, q: int, line_points: np.ndarray, point_lines: np.ndarray,
+                 origin: str, field: GaloisField | None = None) -> ProjectivePlane:
+        """A plane over int32 tables the package has proven itself, adopted as they are."""
         plane = cls.__new__(cls)
-        plane._adopt(q, line_points, point_lines, origin, None)
+        plane._adopt(q, line_points, point_lines, origin, field)
         return plane
 
     def _adopt(self, q, line_points, point_lines, origin, field) -> None:
@@ -135,6 +126,9 @@ class ProjectivePlane:
 
     def line_through(self, p: int, r: int) -> int:
         """Index of the unique line containing two distinct points."""
+        for v in (p, r):
+            if not 0 <= v < self.n:
+                raise ValueError(f"point index {v} outside [0, {self.n})")
         if p == r:
             raise ValueError("line_through needs two distinct points")
         common = np.intersect1d(self.point_lines[p], self.point_lines[r],
@@ -143,6 +137,9 @@ class ProjectivePlane:
 
     def meet(self, l1: int, l2: int) -> int:
         """The unique common point of two distinct lines."""
+        for v in (l1, l2):
+            if not 0 <= v < self.n:
+                raise ValueError(f"line index {v} outside [0, {self.n})")
         if l1 == l2:
             raise ValueError("meet needs two distinct lines")
         common = np.intersect1d(self.line_points[l1], self.line_points[l2],
@@ -154,16 +151,19 @@ def build_pg2(field: GaloisField) -> ProjectivePlane:
     """Canonical Desarguesian plane PG(2,q) over the given field.
 
     Each class of dual triples gets its rows from closed forms, in order.
+    Incidence is symmetric (point j lies on line k exactly when k lies on
+    j), so the one table serves as `point_lines` too.  Its degree check, a
+    blocked count over every row, stays: an index >= n leaves some point
+    short.
     """
     q = field.q
     n = q * q + q + 1
-    if field._tables is None:
-        raise ValueError(f"plane construction needs field tables (q <= 1024), got q={q}")
-    add = field._tables["add"]
-    mul = field._tables["mul"]
-    neg = field._tables["neg"]
-    # div[d - 1, x] = x/d for d = 1 .. q-1, as int32 for fast column gathers
-    div = mul[field._tables["inv"][1:]].astype(np.int32)
+    if field.tables is None:
+        raise ValueError(f"plane construction needs field tables (q <= {TABLE_CAP}), "
+                         f"got q={q}")
+    add, mul, neg, inv = (field.tables[k] for k in ("add", "mul", "neg", "inv"))
+    # div[d - 1, x] = x/d for d = 1 .. q-1
+    div = mul[inv[1:]]
     a = np.arange(q, dtype=np.int32)
     aq = a * q
     qq = q * q
@@ -186,23 +186,9 @@ def build_pg2(field: GaloisField) -> ProjectivePlane:
     line_points[qq] = np.append(a, n - 1)
     # (0, 0, 1): every (1, a, 0), then (0, 1, 0)
     line_points[n - 1] = np.append(aq, qq)
-    return _SymmetricPlane(q, line_points, origin="canonical-PG2", field=field,
-                           validate=False, copy=False)
-
-
-class _SymmetricPlane(ProjectivePlane):
-    """A plane with symmetric incidence, whose `point_lines` is `line_points`.
-
-    Point j lies on line k exactly when k lies on j, so the lines through P
-    are the points on line P.  `_invert` keeps only its degree check, a
-    blocked count over every row; an index >= n leaves some point short.
-    """
-
-    @staticmethod
-    def _invert(line_points: np.ndarray, n: int, q: int) -> np.ndarray:
-        if np.any(_row_counts(line_points, None, n) != q + 1):
-            raise ValueError("some point is not on exactly q+1 lines")
-        return line_points
+    if np.any(_row_counts(line_points, None, n) != q + 1):
+        raise ValueError("some point is not on exactly q+1 lines")
+    return ProjectivePlane._trusted(q, line_points, line_points, "canonical-PG2", field)
 
 
 @functools.lru_cache(maxsize=4)
@@ -376,7 +362,7 @@ def load_plane(source) -> ProjectivePlane:
     failure, point_lines = _check_axioms(table, q)
     if failure is not None:
         raise ValueError("axiom failure: " + failure)
-    return ProjectivePlane._checked(q, table, point_lines, origin="loaded-file")
+    return ProjectivePlane._trusted(q, table, point_lines, "loaded-file")
 
 
 _ROW_CHARS = b"0123456789+- \n"

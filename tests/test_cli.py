@@ -138,6 +138,26 @@ def test_construct_usage_errors(capsys, tmp_path):
                               "--method", "baer"]) == 2
 
 
+def test_construct_cap_needs_step_cap_and_the_starting_pair(capsys):
+    greedy = ["construct", "--q", "7", "--method", "greedy"]
+    for extra, message in (
+            (["--cap", "3"], "--cap only applies with --stop-rule step-cap"),
+            (["--stop-rule", "exhaust", "--cap", "3"],
+             "--cap only applies with --stop-rule step-cap"),
+            (["--stop-rule", "step-cap", "--cap", "-5"],
+             "--cap must be >= 2 (the starting pair is always in), got -5"),
+            (["--stop-rule", "step-cap", "--cap", "1"],
+             "--cap must be >= 2 (the starting pair is always in), got 1")):
+        with pytest.raises(SystemExit) as exc:
+            main(greedy + extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[-1].endswith(message)
+    code, out = run(capsys, greedy + ["--stop-rule", "step-cap", "--cap", "2"])
+    doc = json.loads(out)
+    assert code == 0 and doc["stop_rule"] == "step-cap:2" and len(doc["trace"]) == 2
+
+
 def test_construct_from_plane_file(capsys, tmp_path):
     path = tmp_path / "p3.txt"
     save_plane(canonical_plane(3), path)
@@ -211,6 +231,14 @@ def test_verify_rejects_negative_index(capsys, tmp_path):
         main(["verify", "--q", "2", "--points", str(path)])
     assert exc.value.code == 2
     assert "point index -1 outside [0, 7)" in capsys.readouterr().err
+    # the smallest bad index is named, whichever side of [0, n) it lies on
+    for text, bad in (("-3\n-1\n3\n9\n", -3), ("3\n7\n900\n", 7)):
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--q", "2", "--points", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot load point set: point index {bad} outside [0, 7)" in err
 
 
 def test_mc_output(capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from satset.gf import (GaloisField, factor_prime_power, field_for_order,
@@ -78,12 +79,25 @@ def test_field_axioms_exhaustive(q):
 
 def test_large_field_without_tables():
     f = field_new(3, 7)  # q = 2187 > table cap, exercises the raw path
-    assert f._tables is None
+    assert f.tables is None
     a, b = 1234, 987
     assert f.mul(a, f.inv(a)) == 1
     assert f.add(a, f.neg(a)) == 0
     assert f.mul(a, b) == f.mul(b, a)
     assert f.pow(a, f.q - 1) == 1
+
+
+def test_public_tables_are_read_only_int32_and_match_the_scalar_ops():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        f = field_for_order(q)
+        for name in ("add", "neg", "mul", "inv"):
+            table = f.tables[name]
+            assert table.dtype == np.int32 and not table.flags.writeable
+        elems = range(q)
+        assert f.tables["add"].tolist() == [[f._raw_add(a, b) for b in elems] for a in elems]
+        assert f.tables["mul"].tolist() == [[f._raw_mul(a, b) for b in elems] for a in elems]
+        assert f.tables["neg"].tolist() == [f._raw_neg(a) for a in elems]
+        assert f.tables["inv"].tolist() == [0] + [f._raw_pow(a, q - 2) for a in elems[1:]]
 
 
 def test_zero_inverse_rejected():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from satset.gf import factor_prime_power, field_for_order
-from satset.plane import (ProjectivePlane, ValidationReport, _SymmetricPlane, build_pg2,
+from satset.plane import (ProjectivePlane, ValidationReport, _row_counts, build_pg2,
                           canonical_plane, load_plane, load_point_set,
                           point_triple, save_plane, save_point_set,
                           skew_lines, triple_index, validate_axioms)
@@ -231,7 +231,7 @@ def test_build_pg2_needs_tables():
     assert build_pg2(f).q == 2
     class FakeField:
         q = 2
-        _tables = None
+        tables = None
     with pytest.raises(ValueError):
         build_pg2(FakeField())
 
@@ -248,7 +248,7 @@ def test_constructor_validates_raw_rows():
     rows = canonical_plane(2).line_points.copy()
     rows[0, 0] = 1  # line 0 becomes {1,5,6}: pair (4,?) coverage breaks
     with pytest.raises(ValueError):
-        ProjectivePlane(2, rows, origin="test", validate=True)
+        ProjectivePlane(2, rows, origin="test")
     # tables of other dtypes are taken as the int32 table they become
     for dtype in (np.int64, np.uint16, np.float64):
         table = canonical_plane(2).line_points.astype(dtype)
@@ -328,10 +328,6 @@ def test_plane_leaves_the_callers_array_writeable():
     rows[0, 0] = 1
     assert pl.line_points[0].tolist() == FANO_LINES[0]
     assert not pl.line_points.flags.writeable
-    # a table handed over with copy=False is kept, and frozen, as it is
-    handed = canonical_plane(2).line_points.copy()
-    pl = ProjectivePlane(2, handed, origin="x", copy=False)
-    assert np.shares_memory(pl.line_points, handed) and not handed.flags.writeable
 
 
 def test_canonical_planes_share_one_table_and_loaded_ones_do_not(tmp_path):
@@ -359,18 +355,23 @@ def test_canonical_planes_share_one_table_and_loaded_ones_do_not(tmp_path):
 
 def test_degree_check_refuses_a_corrupted_canonical_table():
     field = copy.copy(field_for_order(5))
-    tables = dict(field._tables)
+    tables = dict(field.tables)
     tables["inv"] = tables["inv"].copy()
     tables["inv"][2] = tables["inv"][3]      # slope 2 now repeats slope 3's lines
-    field._tables = tables
+    field.tables = tables
     with pytest.raises(ValueError, match="exactly q\\+1 lines"):
         build_pg2(field)
-    good = build_pg2(field_for_order(5)).line_points
-    for bad_value in (-1, good.shape[0]):
-        bad = good.copy()
-        bad[3, 1] = bad_value
-        with pytest.raises(ValueError):
-            _SymmetricPlane._invert(bad, good.shape[0], 5)
+    # a negative product still indexes the tables but writes point -1
+    tables = dict(field_for_order(5).tables)
+    tables["mul"] = tables["mul"].copy()
+    tables["mul"][1, 4] = -1
+    field.tables = tables
+    with pytest.raises(ValueError):
+        build_pg2(field)
+    # the degree count drops an index >= n, so its point falls short
+    bad = build_pg2(field_for_order(5)).line_points.copy()
+    bad[3, 1] = len(bad)
+    assert np.any(_row_counts(bad, None, len(bad)) != 6)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +486,7 @@ def test_validate_axioms_line_count_message():
 def test_unvalidated_plane_still_checks_point_degrees():
     rows = np.array(_q3_rows(AXIOM_GOLDEN["point degree"][0]))
     with pytest.raises(ValueError) as info:
-        ProjectivePlane(3, rows, origin="test", validate=False)
+        ProjectivePlane._invert(rows, 13, 3)
     assert str(info.value) == "some point is not on exactly q+1 lines"
 
 
@@ -632,3 +633,15 @@ def test_skew_lines_refuses_indices_outside_the_plane():
         with pytest.raises(ValueError) as info:
             skew_lines(pl, points)
         assert str(info.value) == f"point index {bad} outside [0, 7)"
+
+
+def test_line_through_and_meet_refuse_indices_outside_the_plane():
+    pl = canonical_plane(2)
+    for bad in (-1, 7, 2**70):
+        for args in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError) as info:
+                pl.line_through(*args)
+            assert str(info.value) == f"point index {bad} outside [0, 7)"
+            with pytest.raises(ValueError) as info:
+                pl.meet(*args)
+            assert str(info.value) == f"line index {bad} outside [0, 7)"
