@@ -12,6 +12,7 @@ violated), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -49,6 +50,10 @@ def _plane_order(value: str, parser) -> int:
         parser.error("plane order must be >= 2")
     if q > TABLE_CAP:
         parser.error(f"plane order {q} exceeds the largest supported order {TABLE_CAP}")
+    try:
+        plane_mod.check_table_bytes(q)
+    except ValueError as exc:
+        parser.error(str(exc))
     return q
 
 
@@ -92,8 +97,11 @@ def cmd_construct(args, parser) -> int:
         parser.error("--seed is required with --method random")
     if args.method != "random" and args.p is not None:
         parser.error("--p only applies to --method random")
-    if args.method != "greedy" and args.cap is not None:
-        parser.error("--cap only applies to --method greedy")
+    if args.method != "greedy":
+        for flag, value in (("--variant", args.variant), ("--stop-rule", args.stop_rule),
+                            ("--cap", args.cap)):
+            if value is not None:
+                parser.error(f"{flag} only applies to --method greedy")
     if args.cap is not None and args.stop_rule != "step-cap":
         parser.error("--cap only applies with --stop-rule step-cap")
     if args.cap is not None and args.cap < 2:
@@ -103,13 +111,13 @@ def cmd_construct(args, parser) -> int:
     stats = None
     trace = []
     if args.method == "greedy":
-        variant = args.variant
-        stop_rule = args.stop_rule
+        variant = args.variant or "skew"
+        stop_rule = args.stop_rule or "benefit-floor"
+        points, trace = saturation.greedy_construct(
+            pl, variant=variant, stop_rule=stop_rule, step_cap=args.cap)
         if stop_rule == "step-cap":
             cap = formulas.default_step_cap(pl.q) if args.cap is None else args.cap
             stop_rule = f"step-cap:{cap}"
-        points, trace = saturation.greedy_construct(
-            pl, variant=variant, stop_rule=args.stop_rule, step_cap=args.cap)
     elif args.method == "random":
         seed = args.seed
         try:
@@ -268,7 +276,9 @@ def cmd_hypergraph(args, parser) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="satset",
         description="Construct and verify saturating sets in projective planes.")
@@ -283,9 +293,9 @@ def main(argv=None) -> int:
     p_construct.add_argument("--method", required=True,
                              choices=["greedy", "random", "baer"])
     p_construct.add_argument("--variant", choices=list(saturation.VARIANTS),
-                             default="skew")
+                             help="greedy only (default skew)")
     p_construct.add_argument("--stop-rule", choices=list(saturation.STOP_RULES),
-                             default="benefit-floor")
+                             help="greedy only (default benefit-floor)")
     p_construct.add_argument("--cap", type=int, help="step cap for --stop-rule step-cap")
     p_construct.add_argument("--seed", type=_seed, help="seed (required for random)")
     p_construct.add_argument("--p", type=float, help="sampling probability override")
@@ -323,7 +333,11 @@ def main(argv=None) -> int:
     p_plane.add_argument("action", choices=["gen", "check"])
     p_plane.add_argument("--q")
     p_plane.add_argument("--file", required=True)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     handler = {"construct": cmd_construct, "bounds": cmd_bounds,
                "verify": cmd_verify, "mc": cmd_mc, "minsat": cmd_minsat,

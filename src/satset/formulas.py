@@ -12,14 +12,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-
 
 def _precise_ceil(value: float, recompute) -> int:
-    """Ceiling of value; near-integer cases re-evaluated at 50 digits."""
+    """Ceiling of value; near-integer cases re-evaluated at 50 digits.
+
+    `recompute(mpmath)` gives the exact value as an mpmath number.  The
+    module is imported only here, so a process that never meets a
+    near-integer ceiling never loads it.
+    """
     if abs(value - round(value)) < 1e-9:
+        import mpmath
         with mpmath.workdps(50):
-            return int(mpmath.ceil(recompute()))
+            return int(mpmath.ceil(recompute(mpmath)))
     return math.ceil(value)
 
 
@@ -87,14 +91,14 @@ def default_step_cap(q: int) -> int:
     to pairwise completion under the fixed-cap stop rule."""
     _check_order(q)
     value = math.sqrt(3.0 * q * math.log(q))
-    return _precise_ceil(value, lambda: mpmath.sqrt(3 * q * mpmath.log(q)))
+    return _precise_ceil(value, lambda mp: mp.sqrt(3 * q * mp.log(q)))
 
 
 def theorem_bound(q: int) -> int:
     """Guaranteed achievable size ceil(sqrt(3q ln q)) + ceil((sqrt(q)+1)/2)."""
     _check_order(q)
     tail = _precise_ceil((math.sqrt(q) + 1.0) / 2.0,
-                         lambda: (mpmath.sqrt(q) + 1) / 2)
+                         lambda mp: (mp.sqrt(q) + 1) / 2)
     return default_step_cap(q) + tail
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-import mpmath
 import numpy as np
 
 from .formulas import _precise_ceil
@@ -186,7 +185,7 @@ def transversal_bound(r: int, t: int, m: int) -> int:
     if t > r:
         raise ValueError(f"t={t} cannot exceed r={r}")
     value = r * m / (t * m + r) * math.log(m)
-    return _precise_ceil(value, lambda: mpmath.mpf(r * m) / (t * m + r) * mpmath.log(m))
+    return _precise_ceil(value, lambda mp: mp.mpf(r * m) / (t * m + r) * mp.log(m))
 
 
 def greedy_transversal(family: SetFamily) -> TransversalResult:

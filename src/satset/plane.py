@@ -30,6 +30,10 @@ from .gf import TABLE_CAP, GaloisField, field_for_order
 
 PLANE_HEADER = "PLANE v1"
 
+# Largest plane `build_pg2` and `load_plane` make, in bytes of its n x (q+1)
+# int32 table.  PG(2,512) needs 0.54 GB; PG(2,1024) would need 4.3 GB.
+PLANE_BYTES_CAP = 1 << 31
+
 
 def point_triple(q: int, index: int) -> tuple[int, int, int]:
     """Decode a canonical point (or dual line) index into its triple."""
@@ -147,6 +151,13 @@ class ProjectivePlane:
         return int(common[0])
 
 
+def check_table_bytes(q: int) -> None:
+    """Refuse an order whose int32 incidence table exceeds `PLANE_BYTES_CAP`."""
+    if (needed := (q * q + q + 1) * (q + 1) * 4) > PLANE_BYTES_CAP:
+        raise ValueError(f"PG(2,{q}) needs a {needed >> 20} MiB incidence table, "
+                         f"above the {PLANE_BYTES_CAP >> 20} MiB ceiling")
+
+
 def build_pg2(field: GaloisField) -> ProjectivePlane:
     """Canonical Desarguesian plane PG(2,q) over the given field.
 
@@ -154,13 +165,14 @@ def build_pg2(field: GaloisField) -> ProjectivePlane:
     Incidence is symmetric (point j lies on line k exactly when k lies on
     j), so the one table serves as `point_lines` too.  Its degree check, a
     blocked count over every row, stays: an index >= n leaves some point
-    short.
+    short.  An order above `PLANE_BYTES_CAP` is refused before any table.
     """
     q = field.q
     n = q * q + q + 1
     if field.tables is None:
         raise ValueError(f"plane construction needs field tables (q <= {TABLE_CAP}), "
                          f"got q={q}")
+    check_table_bytes(q)
     add, mul, neg, inv = (field.tables[k] for k in ("add", "mul", "neg", "inv"))
     # div[d - 1, x] = x/d for d = 1 .. q-1
     div = mul[inv[1:]]
@@ -332,7 +344,8 @@ def load_plane(source) -> ProjectivePlane:
     and inverted as an array.  A token is an ASCII decimal integer with at
     most one sign.  The first defect in file order is the one reported, as the
     row-by-row checks find it: leading or trailing whitespace, then a
-    non-integer token, then the first failure of `validate_axioms`.
+    non-integer token, then the first failure of `validate_axioms`.  An
+    order above `PLANE_BYTES_CAP` is refused before any row is parsed.
     """
     text = Path(source).read_text()
     lines = text.split("\n")
@@ -352,6 +365,7 @@ def load_plane(source) -> ProjectivePlane:
         raise ValueError(f"bad order line {lines[1]!r}") from None
     if q < 2:
         raise ValueError(f"order must be >= 2, got {q}")
+    check_table_bytes(q)
     n = q * q + q + 1
     data = lines[2:]
     if len(data) != n:

@@ -348,8 +348,8 @@ def greedy_construct(plane: ProjectivePlane, variant: str = "skew",
     - ``benefit-floor`` (default): stop once the variant's best candidate
       removes at most one unsaturated point, then run `complete` (whose
       additions remove two each).
-    - ``step-cap``: stop at |S| = step_cap (default ceil(sqrt(3 q ln q))),
-      then run `complete`.
+    - ``step-cap``: stop at |S| = step_cap (default ceil(sqrt(3 q ln q));
+      at least 2), then run `complete`.  Any other rule refuses a step_cap.
     - ``exhaust``: greedy steps until nothing is unsaturated, which
       leaves `complete` nothing to add.
 
@@ -360,6 +360,11 @@ def greedy_construct(plane: ProjectivePlane, variant: str = "skew",
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if stop_rule not in STOP_RULES:
         raise ValueError(f"stop_rule must be one of {STOP_RULES}, got {stop_rule!r}")
+    if step_cap is not None and stop_rule != "step-cap":
+        raise ValueError(f"step_cap only applies to stop_rule 'step-cap', got {stop_rule!r}")
+    if step_cap is not None and step_cap < 2:
+        raise ValueError(f"step_cap must be >= 2 (the starting pair is always in), "
+                         f"got {step_cap}")
     state = SaturationState(plane)
     trace: list[StepRecord] = []
     for seed_point in (0, 1):

@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satset import cli
 from satset.cli import main
 from satset.plane import canonical_plane, save_plane, save_point_set
 
@@ -88,6 +89,29 @@ def test_greedy_json_golden_digest(capsys, q, variant):
     assert hashlib.sha256(out.encode()).hexdigest() == GREEDY_JSON_SHA256[q, variant]
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    parser = cli._parser()
+    global_argv = ["construct", "--q", "27", "--method", "greedy", "--variant", "global"]
+    plain_argv = ["construct", "--q", "27", "--method", "greedy"]
+    for argv, key in ((global_argv, (27, "global")), (plain_argv, (27, "skew"))):
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GREEDY_JSON_SHA256[key]
+    # a usage error leaves nothing behind for the next call
+    hyper_argv = ["hypergraph", "--q", "9", "--s0-size", "4", "--seed", "3"]
+    _, before = run(capsys, hyper_argv)
+    assert run_error(capsys, ["construct", "--q", "27", "--method", "random",
+                              "--variant", "global"]) == 2
+    assert run_error(capsys, ["hypergraph", "--q", "9", "--s0-size", "1",
+                              "--seed", "3"]) == 2
+    _, after_error = run(capsys, hyper_argv)
+    assert after_error == before
+    code, out = run(capsys, plain_argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GREEDY_JSON_SHA256[27, "skew"]
+    assert cli._parser() is parser
+
+
 # sha256 of the `construct --method random` and `--method baer` JSON:
 # q=25 seed 0 leaves Y=3 (odd), q=27 seed 7 Y=19, q=25 seed 3 Y=0;
 # `--p 0` samples nothing (two startup points, Y=n) and q=9 seed 1
@@ -156,6 +180,25 @@ def test_construct_cap_needs_step_cap_and_the_starting_pair(capsys):
     code, out = run(capsys, greedy + ["--stop-rule", "step-cap", "--cap", "2"])
     doc = json.loads(out)
     assert code == 0 and doc["stop_rule"] == "step-cap:2" and len(doc["trace"]) == 2
+
+
+def test_variant_and_stop_rule_are_greedy_only(capsys):
+    for argv, message in (
+            (["construct", "--q", "7", "--method", "random", "--seed", "1",
+              "--stop-rule", "exhaust", "--variant", "global"],
+             "--variant only applies to --method greedy"),
+            (["construct", "--q", "7", "--method", "random", "--seed", "1",
+              "--stop-rule", "exhaust"], "--stop-rule only applies to --method greedy"),
+            (["construct", "--q", "9", "--method", "baer", "--variant", "skew"],
+             "--variant only applies to --method greedy"),
+            (["construct", "--q", "9", "--method", "baer", "--cap", "3"],
+             "--cap only applies to --method greedy")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().split("\n")[-1].endswith(message)
 
 
 def test_construct_from_plane_file(capsys, tmp_path):
@@ -339,8 +382,7 @@ def test_negative_seed_rejected(capsys, argv):
     ["construct", "--q", "2048", "--method", "greedy"],
 ])
 def test_order_above_table_cap_rejected(capsys, argv):
-    # refused before any plane is built (q=1024 is accepted and would build
-    # a plane of several GB, so it has no test)
+    # refused before any plane is built
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

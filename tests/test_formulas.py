@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import satset
 from satset.formulas import (contraction_product, default_step_cap,
                              expected_unsaturated, expected_unsaturated_main_term,
                              lunelli_sce_bound, sampling_probability,
@@ -113,6 +118,24 @@ def test_theorem_bound_against_high_precision_oracle():
             expect = int(mpmath.ceil(mpmath.sqrt(3 * q * mpmath.log(q)))
                          + mpmath.ceil((mpmath.sqrt(q) + 1) / 2))
         assert theorem_bound(q) == expect
+
+
+LAZY_MPMATH_SCRIPT = """
+import sys
+import satset.cli
+from satset import formulas
+print("mpmath" in sys.modules)
+print(formulas.theorem_bound(7), "mpmath" in sys.modules)   # no near-integer ceiling
+print(formulas.theorem_bound(9), "mpmath" in sys.modules)   # (sqrt(9)+1)/2 is exactly 2
+"""
+
+
+def test_mpmath_is_imported_only_for_a_near_integer_ceiling():
+    src = str(Path(satset.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", LAZY_MPMATH_SCRIPT],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split("\n") == ["False", "9 False", "10 True", ""]
 
 
 def test_default_step_cap_matches_bound_head():

@@ -190,6 +190,18 @@ def test_stop_rule_step_cap():
     assert len(trace_default) <= default_step_cap(9)
 
 
+def test_step_cap_is_refused_unless_it_can_be_honoured():
+    pl = canonical_plane(7)
+    for cap in (-5, 0, 1):
+        with pytest.raises(ValueError, match="step_cap must be >= 2"):
+            greedy_construct(pl, "skew", "step-cap", step_cap=cap)
+    for rule in ("benefit-floor", "exhaust"):
+        with pytest.raises(ValueError, match="step_cap only applies"):
+            greedy_construct(pl, "skew", rule, step_cap=3)
+    points, trace = greedy_construct(pl, "skew", "step-cap", step_cap=2)
+    assert is_saturating(pl, points) and len(trace) == 2
+
+
 def test_benefit_floor_stops_before_weak_picks():
     pl = canonical_plane(9)
     _, trace = greedy_construct(pl, "skew", "benefit-floor")

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from satset import plane
+from satset.cli import main
 from satset.gf import factor_prime_power, field_for_order
 from satset.plane import (ProjectivePlane, ValidationReport, _row_counts, build_pg2,
                           canonical_plane, load_plane, load_point_set,
@@ -234,6 +236,45 @@ def test_build_pg2_needs_tables():
         tables = None
     with pytest.raises(ValueError):
         build_pg2(FakeField())
+
+
+def test_plane_bytes_ceiling(monkeypatch, tmp_path, capsys):
+    # the real ceiling admits PG(2,512) and refuses PG(2,1024) by arithmetic alone
+    plane.check_table_bytes(512)
+    with pytest.raises(ValueError, match="4104 MiB incidence table"):
+        plane.check_table_bytes(1024)
+    needed = 57 * 8 * 4                      # PG(2,7): n(q+1) int32 entries
+    path = tmp_path / "pg7.txt"
+    save_plane(canonical_plane(7), path)
+    monkeypatch.setattr(plane, "PLANE_BYTES_CAP", needed)
+    assert build_pg2(field_for_order(7)).q == 7           # at the ceiling
+    assert load_plane(path).q == 7
+    monkeypatch.setattr(plane, "PLANE_BYTES_CAP", needed - 1)
+
+    class NoTables:                          # any table read fails the test
+        q = 7
+        tables = {}
+
+    def unreachable(*args):
+        raise AssertionError("the rows were parsed")
+
+    monkeypatch.setattr(plane, "_parse_rows", unreachable)
+    with pytest.raises(ValueError, match="ceiling"):
+        build_pg2(NoTables())
+    with pytest.raises(ValueError, match="ceiling"):
+        load_plane(path)
+    for argv in (["construct", "--q", "7", "--method", "greedy"],
+                 ["construct", "--plane", str(path), "--method", "greedy"],
+                 ["plane", "gen", "--q", "7", "--file", str(tmp_path / "out.txt")],
+                 ["plane", "check", "--file", str(path)],
+                 ["bounds", "--q-list", "5,7"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].endswith(
+            "PG(2,7) needs a 0 MiB incidence table, above the 0 MiB ceiling")
 
 
 def test_plane_equality_ignores_origin(tmp_path):
