@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baer, formulas, hypergraph, plane as plane_mod, saturation
-from .gf import TABLE_CAP, factor_prime_power
+from .gf import factor_prime_power
 from .plane import ProjectivePlane, canonical_plane, load_plane, load_point_set
 from .rng import generator_from_seed
 
@@ -33,25 +33,24 @@ def _json_float(x: float) -> float:
     return float(_fmt(x))
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
+def _emit(text: str, output: str | None, parser) -> None:
+    if not output:
         sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text)
+    except OSError as exc:
+        parser.error(f"cannot write output: {exc}")
 
 
 def _plane_order(value: str, parser) -> int:
     try:
         q = int(value)
-        factor_prime_power(q)
     except ValueError:
         parser.error(f"{value} is not a prime power")
-    if q < 2:
-        parser.error("plane order must be >= 2")
-    if q > TABLE_CAP:
-        parser.error(f"plane order {q} exceeds the largest supported order {TABLE_CAP}")
     try:
-        plane_mod.check_table_bytes(q)
+        plane_mod.check_table_bytes(q)    # cheap, so before the trial division
+        factor_prime_power(q)
     except ValueError as exc:
         parser.error(str(exc))
     return q
@@ -92,7 +91,6 @@ def _trace_rows(trace):
 
 
 def cmd_construct(args, parser) -> int:
-    pl = _resolve_plane(args, parser)
     if args.method == "random" and args.seed is None:
         parser.error("--seed is required with --method random")
     if args.method != "random" and args.p is not None:
@@ -106,6 +104,7 @@ def cmd_construct(args, parser) -> int:
         parser.error("--cap only applies with --stop-rule step-cap")
     if args.cap is not None and args.cap < 2:
         parser.error(f"--cap must be >= 2 (the starting pair is always in), got {args.cap}")
+    pl = _resolve_plane(args, parser)
 
     variant = stop_rule = seed = None
     stats = None
@@ -149,7 +148,7 @@ def cmd_construct(args, parser) -> int:
     if stats is not None:
         doc["stats"] = {"X": stats.sample_size, "Y": stats.unsaturated_size}
     doc["trace"] = _trace_rows(trace)
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit(json.dumps(doc, indent=2) + "\n", args.output, parser)
     return 0
 
 
@@ -160,6 +159,8 @@ def cmd_construct(args, parser) -> int:
 def cmd_bounds(args, parser) -> int:
     if args.random_trials < 0:
         parser.error("--random-trials must be >= 0")
+    if args.random_trials and args.seed is None:
+        parser.error("--seed is required with --random-trials")
     qs = []
     for tok in args.q_list.split(","):
         qs.append(_plane_order(tok.strip(), parser))
@@ -169,14 +170,12 @@ def cmd_bounds(args, parser) -> int:
         points, _ = saturation.greedy_construct(pl, variant="skew")
         mean_text = ""
         if args.random_trials:
-            if args.seed is None:
-                parser.error("--seed is required with --random-trials")
             sizes = [saturation.random_construct(pl, args.seed + k)[1].final_size
                      for k in range(args.random_trials)]
             mean_text = _fmt(float(np.mean(sizes)))
         rows.append(f"{q},{_fmt(formulas.lunelli_sce_bound(q))},"
                     f"{formulas.theorem_bound(q)},{len(points)},{mean_text}")
-    _emit("\n".join(rows) + "\n", args.output)
+    _emit("\n".join(rows) + "\n", args.output, parser)
     return 0
 
 
@@ -209,10 +208,10 @@ def cmd_verify(args, parser) -> int:
 def cmd_mc(args, parser) -> int:
     if args.trials < 1:
         parser.error("--trials must be >= 1")
+    if args.p is not None and not 0.0 <= args.p <= 1.0:
+        parser.error(f"--p must lie in [0, 1], got {args.p}")
     pl = _resolve_plane(args, parser)
     p = args.p if args.p is not None else formulas.sampling_probability(pl.q)
-    if not 0.0 <= p <= 1.0:
-        parser.error(f"--p must lie in [0, 1], got {p}")
     mean, stderr = saturation.monte_carlo_expectation(pl, p, args.trials, args.seed)
     formula = formulas.expected_unsaturated(pl.q, p) if p < 1.0 else 0.0
     print(f"q={pl.q} n={pl.n} p={_fmt(p)} trials={args.trials} seed={args.seed}")
@@ -237,9 +236,9 @@ def cmd_minsat(args, parser) -> int:
 
 
 def cmd_hypergraph(args, parser) -> int:
-    pl = _resolve_plane(args, parser)
     if args.s0_size < 2:
         parser.error("--s0-size must be >= 2")
+    pl = _resolve_plane(args, parser)
     if args.s0_size > pl.n:
         parser.error(f"--s0-size cannot exceed {pl.n}")
     rng = generator_from_seed(args.seed)
@@ -354,7 +353,10 @@ def cmd_plane(args, parser) -> int:
         if args.q is None:
             parser.error("plane gen needs --q")
         pl = canonical_plane(_plane_order(args.q, parser))
-        plane_mod.save_plane(pl, args.file)
+        try:
+            plane_mod.save_plane(pl, args.file)
+        except OSError as exc:
+            parser.error(f"cannot write plane file: {exc}")
         print(f"wrote q={pl.q} plane ({pl.n} lines) to {args.file}")
         return 0
     try:

@@ -7,14 +7,16 @@ products are reduced modulo a canonical irreducible polynomial, chosen as
 the monic irreducible of degree e whose non-leading coefficient vector
 encodes to the smallest integer sum(c_j * p^j).  That choice makes every
 derived index (points of PG(2,q), subfields, constructions) reproducible.
+
+Every field is built with full lookup tables, which every public op reads;
+the polynomial `_raw_*` ops seed the product table and are the tests' oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-ORDER_CAP = 2**20          # largest supported field order p^e
-TABLE_CAP = 1024           # orders up to this get full lookup tables
+ORDER_CAP = 1024           # largest field order p^e: 8 MiB of q x q tables
 
 
 def is_prime(n: int) -> bool:
@@ -123,38 +125,31 @@ def _canonical_irreducible(p: int, e: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class GaloisField:
-    """GF(p^e) with integer-encoded elements and optional lookup tables.
+    """GF(p^e), q = p^e <= ORDER_CAP, with integer-encoded elements.
 
-    For q <= TABLE_CAP, `tables` holds full read-only int32 "add", "neg",
-    "mul" and "inv" arrays (the plane builder indexes them in bulk); for
-    larger fields it is None and arithmetic runs on polynomials.
+    `tables` holds full read-only int32 "add", "neg", "mul" and "inv"
+    arrays; the scalar ops read them, and the plane builder indexes them
+    in bulk.
     """
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
         if e < 1:
             raise ValueError(f"e={e} must be >= 1")
         q = p**e
-        if q > ORDER_CAP:
+        if q > ORDER_CAP:        # before the trial division of p
             raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
         self.p = p
         self.e = e
         self.q = q
         self.irreducible = _canonical_irreducible(p, e) if e > 1 else None
-        self.tables = self._build_tables() if q <= TABLE_CAP else None
+        self.tables = self._build_tables()
 
     def __repr__(self):
         return f"GaloisField(p={self.p}, e={self.e})"
 
-    def __eq__(self, other):
-        return (isinstance(other, GaloisField)
-                and (self.p, self.e) == (other.p, other.e))
-
-    def __hash__(self):
-        return hash((self.p, self.e))
-
-    # -- raw arithmetic (no tables) ------------------------------------
+    # -- raw arithmetic on polynomials: table builder and test oracle --
 
     def _raw_add(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -243,15 +238,11 @@ class GaloisField:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.tables is not None:
-            return int(self.tables["add"][a, b])
-        return self._raw_add(a, b)
+        return int(self.tables["add"][a, b])
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self.tables is not None:
-            return int(self.tables["neg"][a])
-        return self._raw_neg(a)
+        return int(self.tables["neg"][a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -259,17 +250,13 @@ class GaloisField:
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.tables is not None:
-            return int(self.tables["mul"][a, b])
-        return self._raw_mul(a, b)
+        return int(self.tables["mul"][a, b])
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.tables is not None:
-            return int(self.tables["inv"][a])
-        return self._raw_pow(a, self.q - 2)
+        return int(self.tables["inv"][a])
 
     def pow(self, a: int, k: int) -> int:
         self._check(a)
@@ -278,15 +265,13 @@ class GaloisField:
         if a == 0:
             return 1 if k == 0 else 0
         result, base = 1, a
-        if self.tables is not None:
-            mul = self.tables["mul"]
-            while k:
-                if k & 1:
-                    result = int(mul[result, base])
-                base = int(mul[base, base])
-                k >>= 1
-            return result
-        return self._raw_pow(a, k)
+        mul = self.tables["mul"]
+        while k:
+            if k & 1:
+                result = int(mul[result, base])
+            base = int(mul[base, base])
+            k >>= 1
+        return result
 
 
 def field_new(p: int, e: int) -> GaloisField:
@@ -295,7 +280,9 @@ def field_new(p: int, e: int) -> GaloisField:
 
 
 def field_for_order(q: int) -> GaloisField:
-    """Construct GF(q) for a prime power q."""
+    """Construct GF(q) for a prime power q; an order above the cap is refused unfactored."""
+    if q > ORDER_CAP:
+        raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
     p, e = factor_prime_power(q)
     return GaloisField(p, e)
 

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf import TABLE_CAP, GaloisField, field_for_order
+from .gf import GaloisField, field_for_order
 
 PLANE_HEADER = "PLANE v1"
 
@@ -169,9 +169,6 @@ def build_pg2(field: GaloisField) -> ProjectivePlane:
     """
     q = field.q
     n = q * q + q + 1
-    if field.tables is None:
-        raise ValueError(f"plane construction needs field tables (q <= {TABLE_CAP}), "
-                         f"got q={q}")
     check_table_bytes(q)
     add, mul, neg, inv = (field.tables[k] for k in ("add", "mul", "neg", "inv"))
     # div[d - 1, x] = x/d for d = 1 .. q-1
@@ -207,8 +204,10 @@ def build_pg2(field: GaloisField) -> ProjectivePlane:
 def canonical_plane(q: int) -> ProjectivePlane:
     """Canonical PG(2,q) for a prime power q; the last four orders are cached.
 
-    The bound keeps a sweep over many orders from holding every plane.
+    The bound keeps a sweep over many orders from holding every plane.  An
+    order above `PLANE_BYTES_CAP` is refused before its field is built.
     """
+    check_table_bytes(q)
     return build_pg2(field_for_order(q))
 
 

@@ -2,6 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -382,14 +386,64 @@ def test_negative_seed_rejected(capsys, argv):
     ["construct", "--q", "2048", "--method", "greedy"],
 ])
 def test_order_above_table_cap_rejected(capsys, argv):
-    # refused before any plane is built
+    # refused by the byte ceiling before any field or plane is built
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "plane order 2048 exceeds the largest supported order 1024" in capsys.readouterr().err
+    assert ("PG(2,2048) needs a 32800 MiB incidence table, above the 2048 MiB ceiling"
+            in capsys.readouterr().err)
 
 
-ORDERS = st.sampled_from(["2", "3", "4", "5", "7"])
+@pytest.mark.parametrize("q", ["1031", str(2**61 - 1)])
+def test_over_ceiling_order_refused_before_factoring(q):
+    # a subprocess with a timeout: trial division of 2^61-1 would hang, not fail
+    result = subprocess.run(
+        [sys.executable, "-m", "satset.cli", "construct", "--q", q, "--method", "greedy"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])})
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert re.search(rf"error: PG\(2,{q}\) needs a \d+ MiB incidence table, "
+                     r"above the 2048 MiB ceiling$", result.stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--q", "3", "--method", "greedy", "--output"],
+    ["bounds", "--q-list", "3", "--output"],
+    ["plane", "gen", "--q", "3", "--file"],
+])
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(tmp_path / "missing" / "out.txt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("satset: error: cannot write")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bounds", "--q-list", "3,5", "--random-trials", "2"],
+     "--seed is required with --random-trials"),
+    (["mc", "--q", "3", "--trials", "2", "--seed", "0", "--p", "1.5"],
+     "--p must lie in [0, 1], got 1.5"),
+    (["mc", "--q", "3", "--trials", "2", "--seed", "0", "--p", "-0.25"],
+     "--p must lie in [0, 1], got -0.25"),
+    (["hypergraph", "--q", "3", "--s0-size", "1", "--seed", "0"],
+     "--s0-size must be >= 2"),
+])
+def test_plane_free_checks_run_before_any_plane(monkeypatch, capsys, argv, message):
+    def unreachable(q):
+        raise AssertionError("a plane was built")
+
+    monkeypatch.setattr(cli, "canonical_plane", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"satset: error: {message}"
+
+
+ORDERS = st.sampled_from(["2", "3", "4", "5", "7", "1031"])
 SEEDS = st.integers(-5, 50).map(str)
 COUNTS = st.integers(-3, 5).map(str)
 

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
-from satset.gf import (GaloisField, factor_prime_power, field_for_order,
+from satset import gf
+from satset.gf import (ORDER_CAP, GaloisField, factor_prime_power, field_for_order,
                        field_new, is_prime, subfield_elements)
 
 
@@ -77,14 +80,30 @@ def test_field_axioms_exhaustive(q):
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
-def test_large_field_without_tables():
-    f = field_new(3, 7)  # q = 2187 > table cap, exercises the raw path
-    assert f.tables is None
-    a, b = 1234, 987
-    assert f.mul(a, f.inv(a)) == 1
-    assert f.add(a, f.neg(a)) == 0
-    assert f.mul(a, b) == f.mul(b, a)
+def test_every_field_up_to_the_order_cap_is_tabled():
+    # the largest field is tabled like every other; above it none is built
+    f = field_new(2, 10)
+    assert f.q == ORDER_CAP == 1024
+    assert f.tables["add"].shape == f.tables["mul"].shape == (1024, 1024)
+    a, b = 1000, 987
+    assert f.mul(a, b) == f._raw_mul(a, b) and f.add(a, b) == f._raw_add(a, b)
+    assert f.inv(a) == f._raw_pow(a, f.q - 2)
     assert f.pow(a, f.q - 1) == 1
+    for p, e in ((2, 11), (3, 7)):
+        with pytest.raises(ValueError, match=f"field order {p**e} exceeds cap 1024"):
+            field_new(p, e)
+
+
+def test_huge_order_refused_before_factoring(monkeypatch):
+    # trial division of the Mersenne prime 2^61-1 would take hours
+    def unreachable(q):
+        raise AssertionError("the order was factored")
+
+    monkeypatch.setattr(gf, "factor_prime_power", unreachable)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds cap 1024"):
+        field_for_order(2**61 - 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_public_tables_are_read_only_int32_and_match_the_scalar_ops():

@@ -231,11 +231,19 @@ def test_point_set_files(tmp_path):
 def test_build_pg2_needs_tables():
     f = field_for_order(2)
     assert build_pg2(f).q == 2
-    class FakeField:
-        q = 2
-        tables = None
-    with pytest.raises(ValueError):
-        build_pg2(FakeField())
+
+
+def test_canonical_plane_checks_bytes_before_building_the_field(monkeypatch):
+    def unreachable(q):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(plane, "field_for_order", unreachable)
+    canonical_plane.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="PG\\(2,1024\\) needs a 4104 MiB"):
+            canonical_plane(1024)
+    finally:
+        canonical_plane.cache_clear()
 
 
 def test_plane_bytes_ceiling(monkeypatch, tmp_path, capsys):
