@@ -6,9 +6,9 @@ the covering-hypergraph view of the completion problem.
 """
 
 from .gf import GaloisField, factor_prime_power, field_for_order, field_new, subfield_elements
-from .plane import (ProjectivePlane, build_pg2, canonical_plane, load_plane,
-                    load_point_set, save_plane, save_point_set, skew_lines,
-                    validate_axioms)
+from .plane import (PlaneAxiomError, ProjectivePlane, build_pg2, canonical_plane,
+                    load_plane, load_point_set, save_plane, save_point_set,
+                    skew_lines, validate_axioms)
 from .formulas import (contraction_product, default_step_cap,
                        expected_unsaturated, expected_unsaturated_main_term,
                        lunelli_sce_bound, sampling_probability, theorem_bound)

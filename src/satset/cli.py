@@ -6,7 +6,8 @@ independent recount, before it returns, so `construct` reports
 "verified": true for any set it prints; a failed proof exits 1 with a
 one-line message because it would mean a library bug, not bad luck.
 Exit codes: 0 success/verified, 1 semantic failure (not saturating, bound
-violated), 2 usage or input error.
+violated), 2 usage or input error.  `main` is the one place that turns a
+`ValueError` the library raises into exit 2 with its message.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _json_float(x: float) -> float:
-    return float(_fmt(x))
-
-
 def _emit(text: str, output: str | None, parser) -> None:
     if not output:
         sys.stdout.write(text)
@@ -43,16 +40,19 @@ def _emit(text: str, output: str | None, parser) -> None:
         parser.error(f"cannot write output: {exc}")
 
 
+def _check_destination(path: str | None, what: str, parser) -> None:
+    """Refuse a path that cannot become a file before any work; it only looks."""
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        parser.error(f"cannot write {what}: {path} is not a file in an existing directory")
+
+
 def _plane_order(value: str, parser) -> int:
     try:
         q = int(value)
     except ValueError:
         parser.error(f"{value} is not a prime power")
-    try:
-        plane_mod.check_table_bytes(q)    # cheap, so before the trial division
-        factor_prime_power(q)
-    except ValueError as exc:
-        parser.error(str(exc))
+    plane_mod.check_table_bytes(q)    # cheap, so before the trial division
+    factor_prime_power(q)
     return q
 
 
@@ -104,6 +104,7 @@ def cmd_construct(args, parser) -> int:
         parser.error("--cap only applies with --stop-rule step-cap")
     if args.cap is not None and args.cap < 2:
         parser.error(f"--cap must be >= 2 (the starting pair is always in), got {args.cap}")
+    _check_destination(args.output, "output", parser)
     pl = _resolve_plane(args, parser)
 
     variant = stop_rule = seed = None
@@ -119,18 +120,11 @@ def cmd_construct(args, parser) -> int:
             stop_rule = f"step-cap:{cap}"
     elif args.method == "random":
         seed = args.seed
-        try:
-            points, stats = saturation.random_construct(pl, seed, args.p)
-        except ValueError as exc:
-            parser.error(str(exc))
+        points, stats = saturation.random_construct(pl, seed, args.p)
     else:
         if pl.origin != "canonical-PG2":
             parser.error("--method baer needs a canonical plane (--q)")
-        try:
-            embedding = baer.baer_subplane(pl)
-        except ValueError as exc:
-            parser.error(str(exc))
-        points = baer.three_subline_construction(embedding)
+        points = baer.three_subline_construction(baer.baer_subplane(pl))
 
     doc = {
         "q": pl.q,
@@ -143,7 +137,7 @@ def cmd_construct(args, parser) -> int:
         "points": sorted(points),
         "verified": True,
         "bound_theorem": formulas.theorem_bound(pl.q),
-        "bound_lunelli_sce": _json_float(formulas.lunelli_sce_bound(pl.q)),
+        "bound_lunelli_sce": float(_fmt(formulas.lunelli_sce_bound(pl.q))),
     }
     if stats is not None:
         doc["stats"] = {"X": stats.sample_size, "Y": stats.unsaturated_size}
@@ -161,6 +155,7 @@ def cmd_bounds(args, parser) -> int:
         parser.error("--random-trials must be >= 0")
     if args.random_trials and args.seed is None:
         parser.error("--seed is required with --random-trials")
+    _check_destination(args.output, "output", parser)
     qs = []
     for tok in args.q_list.split(","):
         qs.append(_plane_order(tok.strip(), parser))
@@ -224,10 +219,7 @@ def cmd_mc(args, parser) -> int:
 
 def cmd_minsat(args, parser) -> int:
     pl = _resolve_plane(args, parser)
-    try:
-        size, witness = saturation.minsat_bruteforce(pl, allow_large=args.force)
-    except ValueError as exc:
-        parser.error(str(exc))
+    size, witness = saturation.minsat_bruteforce(pl, allow_large=args.force)
     print(f"q={pl.q} n={pl.n}")
     print(f"minimum={size}")
     print("witness=" + " ".join(str(v) for v in sorted(witness)))
@@ -244,10 +236,7 @@ def cmd_hypergraph(args, parser) -> int:
     rng = generator_from_seed(args.seed)
     seed_set = set(int(v) for v in
                    rng.choice(pl.n, size=args.s0_size, replace=False))
-    try:
-        family = hypergraph.saturation_family(pl, seed_set)
-    except ValueError as exc:
-        parser.error(str(exc))
+    family = hypergraph.saturation_family(pl, seed_set)
     result = hypergraph.greedy_transversal(family)
     augmented = hypergraph.augmented_set(pl, seed_set, result)
     print(f"q={pl.q} n={pl.n} s0_size={args.s0_size} seed={args.seed}")
@@ -346,12 +335,15 @@ def main(argv=None) -> int:
     except saturation.VerificationError as exc:
         print(f"satset: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def cmd_plane(args, parser) -> int:
     if args.action == "gen":
         if args.q is None:
             parser.error("plane gen needs --q")
+        _check_destination(args.file, "plane file", parser)
         pl = canonical_plane(_plane_order(args.q, parser))
         try:
             plane_mod.save_plane(pl, args.file)
@@ -363,11 +355,9 @@ def cmd_plane(args, parser) -> int:
         pl = load_plane(args.file)
     except OSError as exc:
         parser.error(str(exc))
-    except ValueError as exc:
-        if str(exc).startswith("axiom failure"):
-            print(str(exc))
-            return 1
-        parser.error(str(exc))
+    except plane_mod.PlaneAxiomError as exc:
+        print(exc)
+        return 1
     print(f"plane file OK: q={pl.q} n={pl.n}")
     return 0
 

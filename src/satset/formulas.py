@@ -4,26 +4,30 @@ Everything here is a pure function of the plane order q (and a sampling
 probability p).  Expectations are evaluated in log space because
 (1-p)^(q^2+q+1) underflows double precision long before the supported
 order cap.  Ceilings that land within 1e-9 of an integer are re-resolved
-at 50 significant digits before rounding up.
+at 50 significant digits, in `decimal`, before rounding up.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
+
+_DECIMAL = SimpleNamespace(sqrt=lambda x: Decimal(x).sqrt(), log=lambda x: Decimal(x).ln())
 
 
-def _precise_ceil(value: float, recompute) -> int:
-    """Ceiling of value; near-integer cases re-evaluated at 50 digits.
+def _precise_ceil(expr) -> int:
+    """Ceiling of `expr(ns)`, an expression that uses only `ns.sqrt` and `ns.log`.
 
-    `recompute(mpmath)` gives the exact value as an mpmath number.  The
-    module is imported only here, so a process that never meets a
-    near-integer ceiling never loads it.
+    It is evaluated over `math`, and again over `decimal` at 50 significant
+    digits when that lands within 1e-9 of an integer.
     """
+    value = expr(math)
     if abs(value - round(value)) < 1e-9:
-        import mpmath
-        with mpmath.workdps(50):
-            return int(mpmath.ceil(recompute(mpmath)))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            value = expr(_DECIMAL)
     return math.ceil(value)
 
 
@@ -90,16 +94,14 @@ def default_step_cap(q: int) -> int:
     """ceil(sqrt(3 q ln q)): the step count at which greedy hands over
     to pairwise completion under the fixed-cap stop rule."""
     _check_order(q)
-    value = math.sqrt(3.0 * q * math.log(q))
-    return _precise_ceil(value, lambda mp: mp.sqrt(3 * q * mp.log(q)))
+    return _precise_ceil(lambda ns: ns.sqrt(3 * q * ns.log(q)))
 
 
 def theorem_bound(q: int) -> int:
     """Guaranteed achievable size ceil(sqrt(3q ln q)) + ceil((sqrt(q)+1)/2)."""
     _check_order(q)
-    tail = _precise_ceil((math.sqrt(q) + 1.0) / 2.0,
-                         lambda mp: (mp.sqrt(q) + 1) / 2)
-    return default_step_cap(q) + tail
+    r = math.isqrt(q)     # the tail is exact: (r + 2) // 2 if q = r^2, else (r + 3) // 2
+    return default_step_cap(q) + (r + 3 - (r * r == q)) // 2
 
 
 def contraction_product(q: int, k: int) -> float:

@@ -12,7 +12,6 @@ of the family, added to S0, therefore saturates the plane.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -184,8 +183,7 @@ def transversal_bound(r: int, t: int, m: int) -> int:
         raise ValueError(f"the bound needs m >= 2, got {m}")
     if t > r:
         raise ValueError(f"t={t} cannot exceed r={r}")
-    value = r * m / (t * m + r) * math.log(m)
-    return _precise_ceil(value, lambda mp: mp.mpf(r * m) / (t * m + r) * mp.log(m))
+    return _precise_ceil(lambda ns: r * m * ns.log(m) / (t * m + r))
 
 
 def greedy_transversal(family: SetFamily) -> TransversalResult:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -58,6 +58,10 @@ def triple_index(q: int, triple: Sequence[int]) -> int:
     raise ValueError(f"triple {triple!r} is not normalised")
 
 
+class PlaneAxiomError(ValueError):
+    """Rows that parse but break an axiom of a projective plane."""
+
+
 @dataclass
 class ValidationReport:
     ok: bool
@@ -76,7 +80,7 @@ class ProjectivePlane:
         """
         failure, point_lines = _check_axioms(line_points, q)
         if failure is not None:
-            raise ValueError("invalid plane: " + failure)
+            raise PlaneAxiomError("invalid plane: " + failure)
         self._adopt(q, np.array(line_points, dtype=np.int32, order="C"), point_lines,
                     origin, None)
 
@@ -343,8 +347,9 @@ def load_plane(source) -> ProjectivePlane:
     and inverted as an array.  A token is an ASCII decimal integer with at
     most one sign.  The first defect in file order is the one reported, as the
     row-by-row checks find it: leading or trailing whitespace, then a
-    non-integer token, then the first failure of `validate_axioms`.  An
-    order above `PLANE_BYTES_CAP` is refused before any row is parsed.
+    non-integer token, then the first failure of `validate_axioms`, which
+    is a `PlaneAxiomError`.  An order above `PLANE_BYTES_CAP` is refused
+    before any row is parsed.
     """
     text = Path(source).read_text()
     lines = text.split("\n")
@@ -371,10 +376,10 @@ def load_plane(source) -> ProjectivePlane:
         raise ValueError(f"line count: expected {n} data rows, got {len(data)}")
     table = _parse_rows(text[len(lines[0]) + len(lines[1]) + 2:], data)
     if table is None or len(table) != n:
-        raise ValueError(_first_row_failure(data, q))
+        _raise_first_row_failure(data, q)
     failure, point_lines = _check_axioms(table, q)
     if failure is not None:
-        raise ValueError("axiom failure: " + failure)
+        raise PlaneAxiomError("axiom failure: " + failure)
     return ProjectivePlane._trusted(q, table, point_lines, "loaded-file")
 
 
@@ -397,8 +402,8 @@ def _parse_rows(body: str, data: list[str]) -> np.ndarray | None:
         return None
 
 
-def _first_row_failure(data: list[str], q: int) -> str:
-    """Why `_parse_rows` refused the data rows, found row by row.
+def _raise_first_row_failure(data: list[str], q: int) -> NoReturn:
+    """Raise why `_parse_rows` refused the data rows, found row by row.
 
     Only a failed parse calls this.  Every refused file fails here: a
     refused character, an unreadable token or a blank row fails the
@@ -408,13 +413,13 @@ def _first_row_failure(data: list[str], q: int) -> str:
     rows = []
     for j, row_text in enumerate(data):
         if row_text != row_text.strip():
-            return f"line {j}: leading or trailing whitespace"
+            raise ValueError(f"line {j}: leading or trailing whitespace")
         tokens = row_text.split(" ")
         digits = (tok[1:] if tok[:1] in ("+", "-") else tok for tok in tokens)
         if not all(d.isascii() and d.isdigit() for d in digits):
-            return f"line {j}: non-integer token"
+            raise ValueError(f"line {j}: non-integer token")
         rows.append([int(tok) for tok in tokens])
-    return "axiom failure: " + _check_axioms(rows, q)[0]
+    raise PlaneAxiomError("axiom failure: " + _check_axioms(rows, q)[0])
 
 
 def save_point_set(points: Iterable[int], destination) -> None:

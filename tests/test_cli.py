@@ -354,13 +354,9 @@ def test_plane_gen_and_check(capsys, tmp_path):
     row[0], row[1] = row[1], row[0]
     text[2] = " ".join(row)
     path.write_text("\n".join(text))
-    code = None
-    try:
-        code = main(["plane", "check", "--file", str(path)])
-    except SystemExit as exc:
-        code = exc.code
-    capsys.readouterr()
-    assert code in (1, 2)
+    code, out = run(capsys, ["plane", "check", "--file", str(path)])
+    assert code == 1
+    assert out == "axiom failure: ascending: line 0 is not strictly ascending\n"
     # unparseable file exits 2
     path.write_text("garbage\n")
     assert run_error(capsys, ["plane", "check", "--file", str(path)]) == 2
@@ -422,6 +418,89 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv):
     assert err.splitlines()[-1].startswith("satset: error: cannot write")
 
 
+DESTINATION_ARGV = [
+    ["construct", "--q", "3", "--method", "greedy", "--output"],
+    ["bounds", "--q-list", "3", "--output"],
+    ["plane", "gen", "--q", "3", "--file"],
+]
+
+
+@pytest.mark.parametrize("argv", DESTINATION_ARGV)
+@pytest.mark.parametrize("where", ["missing parent", "parent is a file", "a directory"])
+def test_unwritable_destination_refused_before_any_plane(monkeypatch, capsys, tmp_path,
+                                                         argv, where):
+    def unreachable(q):
+        raise AssertionError("a plane was built")
+
+    monkeypatch.setattr(cli, "canonical_plane", unreachable)
+    (tmp_path / "file").write_text("kept\n")
+    dest = {"missing parent": tmp_path / "missing" / "out.txt",
+            "parent is a file": tmp_path / "file" / "out.txt",
+            "a directory": tmp_path}[where]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(dest)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"satset: error: cannot write {'plane file' if argv[0] == 'plane' else 'output'}: "
+        f"{dest} is not a file in an existing directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", DESTINATION_ARGV)
+def test_destination_checked_without_touching_it(capsys, tmp_path, argv):
+    # a refused order still leaves an existing destination as it was
+    dest = tmp_path / "out.txt"
+    dest.write_text("kept\n")
+    bad_order = [v if v != "3" else "6" for v in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(bad_order + [str(dest)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "satset: error: 6 is not a prime power"
+    assert dest.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", DESTINATION_ARGV)
+def test_write_failure_a_look_cannot_see_is_still_a_usage_error(capsys, tmp_path, argv):
+    # a dangling link in an existing directory passes the early check
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "missing" / "out.txt")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(link)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("satset: error: cannot write")
+    assert "No such file or directory" in err
+
+
+@pytest.mark.parametrize("owner,name,argv", [
+    (cli, "factor_prime_power", ["construct", "--q", "3", "--method", "greedy"]),
+    (cli.saturation, "random_construct", ["construct", "--q", "3", "--method", "random",
+                                          "--seed", "1"]),
+    (cli.baer, "baer_subplane", ["construct", "--q", "4", "--method", "baer"]),
+    (cli.saturation, "minsat_bruteforce", ["minsat", "--q", "2"]),
+    (cli.hypergraph, "saturation_family", ["hypergraph", "--q", "3", "--s0-size", "2",
+                                           "--seed", "0"]),
+    (cli.saturation, "greedy_construct", ["construct", "--q", "3", "--method", "greedy"]),
+])
+def test_main_is_the_one_failure_boundary(monkeypatch, capsys, owner, name, argv):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(owner, name, fail)
+    error = ValueError("boom")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "satset: error: boom"
+    error = cli.saturation.VerificationError("recount failed")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "satset: recount failed\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["bounds", "--q-list", "3,5", "--random-trials", "2"],
      "--seed is required with --random-trials"),
@@ -450,7 +529,7 @@ COUNTS = st.integers(-3, 5).map(str)
 
 @st.composite
 def fuzz_argv(draw):
-    command = draw(st.sampled_from(["construct", "mc", "bounds", "hypergraph"]))
+    command = draw(st.sampled_from(["construct", "mc", "bounds", "hypergraph", "minsat"]))
     q = draw(ORDERS)
     if command == "construct":
         argv = ["construct", "--q", q, "--method",
@@ -465,6 +544,8 @@ def fuzz_argv(draw):
         if draw(st.booleans()):
             argv += ["--seed", draw(SEEDS)]
         return argv
+    if command == "minsat":
+        return ["minsat", "--q", q]
     return ["hypergraph", "--q", q, "--s0-size", draw(COUNTS), "--seed", draw(SEEDS)]
 
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import mpmath
 import pytest
 
 import satset
-from satset.formulas import (contraction_product, default_step_cap,
+from satset.formulas import (_precise_ceil, contraction_product, default_step_cap,
                              expected_unsaturated, expected_unsaturated_main_term,
                              lunelli_sce_bound, sampling_probability,
                              theorem_bound)
@@ -120,22 +121,59 @@ def test_theorem_bound_against_high_precision_oracle():
         assert theorem_bound(q) == expect
 
 
-LAZY_MPMATH_SCRIPT = """
-import sys
-import satset.cli
+NO_MPMATH_SCRIPT = """
+import contextlib, io, os, sys
 from satset import formulas
-print("mpmath" in sys.modules)
-print(formulas.theorem_bound(7), "mpmath" in sys.modules)   # no near-integer ceiling
-print(formulas.theorem_bound(9), "mpmath" in sys.modules)   # (sqrt(9)+1)/2 is exactly 2
+from satset.cli import main
+tmp = sys.argv[1]
+plane, points = os.path.join(tmp, "plane.txt"), os.path.join(tmp, "points.txt")
+with open(points, "w") as f:
+    f.write("0\\n1\\n")
+for argv in (["construct", "--q", "4", "--method", "greedy"],
+             ["construct", "--q", "4", "--method", "greedy", "--stop-rule", "step-cap"],
+             ["construct", "--q", "5", "--method", "random", "--seed", "1"],
+             ["construct", "--q", "4", "--method", "baer"],
+             ["bounds", "--q-list", "4,9", "--random-trials", "1", "--seed", "1"],
+             ["verify", "--q", "3", "--points", points],
+             ["mc", "--q", "3", "--trials", "10", "--seed", "1"],
+             ["minsat", "--q", "2"],
+             ["hypergraph", "--q", "9", "--s0-size", "4", "--seed", "3"],
+             ["plane", "gen", "--q", "3", "--file", plane],
+             ["plane", "check", "--file", plane]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(argv[0], code, "mpmath" in sys.modules)
+# sqrt(10^40 + 1) is 10^20 in floats: the ceiling is resolved in decimal
+print(formulas._precise_ceil(lambda ns: ns.sqrt(10**40 + 1)), "mpmath" in sys.modules)
 """
 
 
-def test_mpmath_is_imported_only_for_a_near_integer_ceiling():
+def test_mpmath_is_never_imported(tmp_path):
     src = str(Path(satset.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", LAZY_MPMATH_SCRIPT],
+    done = subprocess.run([sys.executable, "-c", NO_MPMATH_SCRIPT, str(tmp_path)],
                           capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.split("\n") == ["False", "9 False", "10 True", ""]
+    assert done.stdout.split("\n") == [
+        "construct 0 False", "construct 0 False", "construct 0 False",
+        "construct 0 False", "bounds 0 False", "verify 1 False", "mc 0 False",
+        "minsat 0 False", "hypergraph 0 False", "plane 0 False", "plane 0 False",
+        f"{10**20 + 1} False", ""]
+
+
+def test_near_integer_ceiling_is_resolved_at_50_digits():
+    # floats round all three to an integer; 28 digits would lose 10^40 + 1 too
+    assert _precise_ceil(lambda ns: ns.sqrt(10**16 + 1)) == 10**8 + 1
+    assert _precise_ceil(lambda ns: ns.sqrt(10**40 + 1)) == 10**20 + 1
+    assert _precise_ceil(lambda ns: ns.sqrt(4) * ns.log(1)) == 0
+    assert decimal.getcontext().prec == 28     # the caller's context is untouched
+
+
+def test_step_cap_and_theorem_bound_against_high_precision_oracle():
+    for q in range(2, 1500):
+        with mpmath.workdps(60):
+            head = int(mpmath.ceil(mpmath.sqrt(3 * q * mpmath.log(q))))
+            tail = int(mpmath.ceil((mpmath.sqrt(q) + 1) / 2))
+        assert (default_step_cap(q), theorem_bound(q)) == (head, head + tail), q
 
 
 def test_default_step_cap_matches_bound_head():

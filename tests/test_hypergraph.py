@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -123,6 +124,15 @@ def test_transversal_bound_values():
         transversal_bound(3, -1, 5)
     with pytest.raises(ValueError):
         transversal_bound(3, 4, 5)
+
+
+def test_transversal_bound_against_high_precision_oracle():
+    for r in range(1, 25):
+        for t in range(r + 1):
+            for m in range(2, 25):
+                with mpmath.workdps(60):
+                    expect = int(mpmath.ceil(mpmath.mpf(r * m) / (t * m + r) * mpmath.log(m)))
+                assert transversal_bound(r, t, m) == expect, (r, t, m)
 
 
 def test_greedy_transversal_single_edge():

@@ -9,7 +9,8 @@ import pytest
 from satset import plane
 from satset.cli import main
 from satset.gf import factor_prime_power, field_for_order
-from satset.plane import (ProjectivePlane, ValidationReport, _row_counts, build_pg2,
+from satset.plane import (PlaneAxiomError, ProjectivePlane, ValidationReport,
+                          _row_counts, build_pg2,
                           canonical_plane, load_plane, load_point_set,
                           point_triple, save_plane, save_point_set,
                           skew_lines, triple_index, validate_axioms)
@@ -507,6 +508,18 @@ def test_load_plane_first_failure_messages(tmp_path, name):
     with pytest.raises(ValueError) as info:
         load_plane(path)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", LOAD_GOLDEN)
+def test_only_an_axiom_failure_is_a_plane_axiom_error(tmp_path, name):
+    path = tmp_path / "p.txt"
+    path.write_text(LOAD_GOLDEN[name][0])
+    with pytest.raises(ValueError) as info:
+        load_plane(path)
+    assert isinstance(info.value, PlaneAxiomError) == name.startswith("axiom: ")
+    if name.startswith("axiom: "):
+        with pytest.raises(PlaneAxiomError):
+            ProjectivePlane(3, _q3_rows(AXIOM_GOLDEN[name[7:]][0]), origin="test")
 
 
 @pytest.mark.parametrize("name", AXIOM_GOLDEN)
