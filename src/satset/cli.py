@@ -46,7 +46,9 @@ def _check_destination(path: str | None, what: str, parser) -> None:
         parser.error(f"cannot write {what}: {path} is not a file in an existing directory")
 
 
-def _plane_order(value: str, parser) -> int:
+def _plane_order(value: str, parser, flag: str = "--q") -> int:
+    if not value.strip():
+        parser.error(f"empty order in {flag}")
     try:
         q = int(value)
     except ValueError:
@@ -158,7 +160,7 @@ def cmd_bounds(args, parser) -> int:
     _check_destination(args.output, "output", parser)
     qs = []
     for tok in args.q_list.split(","):
-        qs.append(_plane_order(tok.strip(), parser))
+        qs.append(_plane_order(tok.strip(), parser, "--q-list"))
     rows = ["q,lower_bound,theorem_bound,greedy_size,random_mean_size"]
     for q in qs:
         pl = canonical_plane(q)
@@ -203,6 +205,7 @@ def cmd_verify(args, parser) -> int:
 def cmd_mc(args, parser) -> int:
     if args.trials < 1:
         parser.error("--trials must be >= 1")
+    saturation.check_sample_bytes(args.trials)    # before the plane is built
     if args.p is not None and not 0.0 <= args.p <= 1.0:
         parser.error(f"--p must lie in [0, 1], got {args.p}")
     pl = _resolve_plane(args, parser)

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .formulas import _precise_ceil
-from .plane import ProjectivePlane
+from .plane import ProjectivePlane, join_rows
 from .saturation import _proven, unsaturated
 
 FAMILY_HEADER = "FAMILY v1"
@@ -99,15 +99,6 @@ class TransversalResult:
     t: int | None
 
 
-def _joins(plane: ProjectivePlane, s0: list[int], points: list[int]) -> np.ndarray:
-    """joins[k, i]: the line through s0[k] and points[i] (points outside s0)."""
-    through = np.empty((len(s0), plane.n), dtype=np.int32)
-    for k, s in enumerate(s0):
-        lines = plane.point_lines[s]
-        through[k, plane.line_points[lines]] = lines[:, None]
-    return through[:, points]
-
-
 def saturation_family(plane: ProjectivePlane, seed_set: Iterable[int]) -> SetFamily:
     """One edge per unsaturated point: the points that would saturate it.
 
@@ -123,7 +114,7 @@ def saturation_family(plane: ProjectivePlane, seed_set: Iterable[int]) -> SetFam
                          f"MiB, above the {FAMILY_BYTES_CAP >> 20} MiB ceiling")
     members = np.zeros((m, n), dtype=bool)
     rows = np.arange(m)[:, None, None]
-    members[rows, plane.line_points[_joins(plane, s0, missing).T]] = True
+    members[rows, plane.line_points[join_rows(plane, s0)[:, missing].T]] = True
     members[:, s0] = False
     return SetFamily._from_incidence(members, tuple(missing) or None)
 
@@ -161,7 +152,7 @@ def intersection_lemma_holds(plane: ProjectivePlane, family: SetFamily,
     s0 = sorted(set(int(v) for v in seed_set))
     k, q = len(s0), plane.q
     meets = np.zeros((len(family), len(family)), dtype=bool)
-    for line in _joins(plane, s0, list(family.labels)):   # x_i, x_j, s collinear
+    for line in join_rows(plane, s0)[:, list(family.labels)]:   # x_i, x_j, s collinear
         meets |= line[:, None] == line
     gram = family.intersections
     holds = np.where(meets, gram == (k - 1) * (k - 2) + q, gram == k * (k - 1))

@@ -309,6 +309,19 @@ def point_hits(plane: ProjectivePlane, lines: np.ndarray) -> np.ndarray:
     return _row_counts(plane.line_points, lines, plane.n)
 
 
+def join_rows(plane: ProjectivePlane, points: list[int]) -> np.ndarray:
+    """joins[k, x]: the line through points[k] and x, as int32.
+
+    Row k is written from the pencil of points[k]; its own column holds
+    one of the lines through it.
+    """
+    joins = np.empty((len(points), plane.n), dtype=np.int32)
+    for k, s in enumerate(points):
+        lines = plane.point_lines[s]
+        joins[k, plane.line_points[lines]] = lines[:, None]
+    return joins
+
+
 def _point_indices(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
     """The given points as one intp array; the first outside [0, n) raises."""
     if not isinstance(points, np.ndarray):

@@ -17,10 +17,13 @@ from typing import Iterable
 import numpy as np
 
 from . import formulas
-from .plane import ProjectivePlane, _point_indices, line_hits, point_hits
+from .plane import ProjectivePlane, _point_indices, join_rows, line_hits, point_hits
 from .rng import generator_from_seed, trial_generator
 
 BRUTEFORCE_POINT_CAP = 21
+
+# Largest float64 sample array `monte_carlo_expectation` allocates, in bytes.
+SAMPLE_BYTES_CAP = 1 << 31
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +90,6 @@ def _proven(plane: ProjectivePlane, points: set[int]) -> set[int]:
 # incremental state
 # ---------------------------------------------------------------------------
 
-def _grown(buf: np.ndarray, size: int, cap: int) -> np.ndarray:
-    """`buf` if it holds `size` items, else a new buffer of at least that size.
-
-    Growth doubles, up to `cap`, so a run reallocates a few times at most.
-    """
-    if buf.size >= size:
-        return buf
-    return np.empty(min(max(2 * buf.size, size), cap), dtype=buf.dtype)
-
-
 class SaturationState:
     """Mutable chosen/determined/unsaturated bookkeeping for one plane.
 
@@ -133,10 +126,8 @@ class SaturationState:
             rest = np.flatnonzero(~self.in_unsat)
             self.unsat_on_line = plane.q + 1 - line_hits(plane, rest)
         self._unsat_total = int(unsat.size)
-        # benefit_vector's gather, index and weight workspace, grown on demand
-        self._gathered = np.empty(0, dtype=np.int32)
-        self._indices = np.empty(0, dtype=np.intp)
-        self._weights = np.empty(0, dtype=np.float64)
+        # benefit_vector's join rows, one per chosen point, built on demand
+        self._joins: list[np.ndarray] = []
 
     @property
     def size(self) -> int:
@@ -207,35 +198,26 @@ class SaturationState:
     def benefit_vector(self) -> np.ndarray:
         """Benefits for all points at once; chosen points get -1.
 
-        Each live line (one carrying a chosen point and an unsaturated
-        one) adds its unsaturated count to every point on it, in one
-        bincount; a line with no unsaturated point would add 0.  An
-        unsaturated point lies on no secant, so its live lines are exactly
-        one per chosen point, and it is counted |S| times where it should
-        count once.  The bincount's inputs are filled into buffers kept on
-        the state, so steps reuse their memory instead of allocating anew.
+        Every chosen point s has a join row J_s, where J_s[x] is the line
+        through s and x, built from s's pencil the first time it is needed
+        and kept on the state (|S| n int32 in all).  A point scores the
+        unsaturated counts of the lines J_s[x] summed over s.  A line
+        carrying two chosen points is a secant and holds no unsaturated
+        point, so each live line through x adds its count once.  An
+        unsaturated point lies on all |S| of its joins but counts once.
         """
         n = self.plane.n
         if not self.chosen:
             out = np.zeros(n, dtype=np.int64)
         else:
-            live = np.flatnonzero((self.line_hits >= 1) & (self.unsat_on_line >= 1))
-            width = self.plane.q + 1
-            size, cap = live.size * width, n * width
-            self._gathered = _grown(self._gathered, size, cap)
-            self._indices = _grown(self._indices, size, cap)
-            self._weights = _grown(self._weights, size, cap)
-            gathered = self._gathered[:size].reshape(-1, width)
-            # "clip" writes straight into `out` ("raise" would buffer it);
-            # every live index is in range anyway
-            np.take(self.plane.line_points, live, axis=0, out=gathered, mode="clip")
-            indices = self._indices[:size]
-            indices[...] = gathered.ravel()
-            weights = self._weights[:size].reshape(-1, width)
-            weights[...] = self.unsat_on_line[live, None]
-            # float64 weights sum exactly: every total is at most n < 2**53
-            out = np.bincount(indices, weights=weights.ravel(),
-                              minlength=n).astype(np.int64)
+            self._joins.extend(join_rows(self.plane, self.chosen[len(self._joins):]))
+            # int32 sums are exact: no point scores more than n < 2**31
+            weights = self.unsat_on_line.astype(np.int32)
+            total = np.take(weights, self._joins[0])
+            term = np.empty_like(total)
+            for row in self._joins[1:]:
+                total += np.take(weights, row, out=term)
+            out = total.astype(np.int64)
             out[self.in_unsat] += 1 - self.size
         out[self.in_chosen] = -1
         return out
@@ -480,6 +462,13 @@ def random_construct(plane: ProjectivePlane, seed: int,
     return final, stats
 
 
+def check_sample_bytes(trials: int) -> None:
+    """Refuse a trial count whose float64 samples exceed `SAMPLE_BYTES_CAP`."""
+    if (needed := 8 * trials) > SAMPLE_BYTES_CAP:
+        raise ValueError(f"{trials} trials need {needed >> 20} MiB of samples, "
+                         f"above the {SAMPLE_BYTES_CAP >> 20} MiB ceiling")
+
+
 def monte_carlo_expectation(plane: ProjectivePlane, p: float, trials: int,
                             seed: int) -> tuple[float, float]:
     """Empirical mean and standard error of the undetermined-point count.
@@ -487,10 +476,12 @@ def monte_carlo_expectation(plane: ProjectivePlane, p: float, trials: int,
     Each trial samples every point with probability p from its own
     (seed, trial) stream and counts points on no 2-secant of the sample
     (the `undetermined_count` semantics, so the mean is comparable to
-    `formulas.expected_unsaturated`).
+    `formulas.expected_unsaturated`).  A trial count whose samples exceed
+    `SAMPLE_BYTES_CAP` is refused before any allocation.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_sample_bytes(trials)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     n = plane.n

@@ -246,6 +246,18 @@ def test_bounds_rejects_non_prime_power(capsys):
     assert run_error(capsys, ["bounds", "--q-list", "6"]) == 2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["bounds", "--q-list", "3,,4"], "--q-list"),
+    (["bounds", "--q-list", ""], "--q-list"),
+    (["construct", "--q", "", "--method", "greedy"], "--q"),
+])
+def test_an_empty_order_is_named(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"satset: error: empty order in {flag}"
+
+
 def test_verify_exit_codes(capsys, tmp_path):
     good = tmp_path / "good.txt"
     bad = tmp_path / "bad.txt"
@@ -510,6 +522,8 @@ def test_main_is_the_one_failure_boundary(monkeypatch, capsys, owner, name, argv
      "--p must lie in [0, 1], got -0.25"),
     (["hypergraph", "--q", "3", "--s0-size", "1", "--seed", "0"],
      "--s0-size must be >= 2"),
+    (["mc", "--q", "3", "--trials", "100000000000000", "--seed", "0", "--p", "0"],
+     "100000000000000 trials need 762939453 MiB of samples, above the 2048 MiB ceiling"),
 ])
 def test_plane_free_checks_run_before_any_plane(monkeypatch, capsys, argv, message):
     def unreachable(q):

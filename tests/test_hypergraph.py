@@ -375,7 +375,7 @@ def test_family_ceiling_refuses_before_building(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("the family was built")
 
-    monkeypatch.setattr(hypergraph, "_joins", unreachable)
+    monkeypatch.setattr(hypergraph, "join_rows", unreachable)
     with pytest.raises(ValueError, match="ceiling"):
         saturation_family(pl, seed_set)
     monkeypatch.setattr(hypergraph, "FAMILY_BYTES_CAP", 1000)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from satset import saturation
 from satset.plane import canonical_plane
 from satset.saturation import (SaturationState, is_saturating,
                                monte_carlo_expectation, random_construct,
@@ -101,6 +102,21 @@ def test_monte_carlo_degenerate_and_agreement():
         monte_carlo_expectation(pl, 0.5, 0, seed=3)
     with pytest.raises(ValueError):
         monte_carlo_expectation(pl, 1.2, 10, seed=3)
+
+
+def test_monte_carlo_sample_ceiling(monkeypatch):
+    pl = canonical_plane(2)
+    expected = monte_carlo_expectation(pl, 0.5, 10, seed=3)
+    monkeypatch.setattr(saturation, "SAMPLE_BYTES_CAP", 8 * 10)
+    assert monte_carlo_expectation(pl, 0.5, 10, seed=3) == expected   # at the ceiling
+    monkeypatch.setattr(saturation, "SAMPLE_BYTES_CAP", 8 * 10 - 1)
+
+    def unreachable(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(saturation, "trial_generator", unreachable)
+    with pytest.raises(ValueError, match="ceiling"):
+        monte_carlo_expectation(pl, 0.5, 10, seed=3)
 
 
 def test_monte_carlo_trial_order_independent():

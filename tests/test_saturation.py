@@ -176,11 +176,21 @@ def test_benefits_kernel_matches_vector_oracle_and_scalar(q):
         assert np.array_equal(state.benefits(some), vec[some])
 
 
-def kernel_states(q):
+def assert_vector_matches_oracle(state):
+    pl, chosen = state.plane, state.current_set
+    unsat = brute_unsaturated(pl, chosen)
+    vec = state.benefit_vector()
+    for p in range(pl.n):
+        if p in chosen:
+            assert vec[p] == -1
+        else:
+            assert vec[p] == state.benefit(p) == brute_benefit(pl, chosen, p, unsat), p
+
+
+def kernel_states(pl):
     """States with |S| = 0, 1, 2, then each state a greedy walk passes
     through while both D and R are nonempty (skew and global walks)."""
-    pl = canonical_plane(q)
-    rng = np.random.default_rng(q)
+    rng = np.random.default_rng(pl.q)
     for size in (0, 1, 2):
         state = SaturationState(pl)
         for p in rng.choice(pl.n, size=size, replace=False):
@@ -199,15 +209,8 @@ def kernel_states(q):
 @pytest.mark.parametrize("q", [7, 8, 9, 16])
 def test_benefit_vector_matches_oracle_and_scalar(q):
     checked = 0
-    for state in kernel_states(q):
-        pl, chosen = state.plane, state.current_set
-        unsat = brute_unsaturated(pl, chosen)
-        vec = state.benefit_vector()
-        for p in range(pl.n):
-            if p in chosen:
-                assert vec[p] == -1
-            else:
-                assert vec[p] == state.benefit(p) == brute_benefit(pl, chosen, p, unsat)
+    for state in kernel_states(canonical_plane(q)):
+        assert_vector_matches_oracle(state)
         checked += 1
     assert checked > 3                          # the greedy walks were checked too
 
@@ -215,7 +218,7 @@ def test_benefit_vector_matches_oracle_and_scalar(q):
 @pytest.mark.parametrize("q", [7, 9, 16])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_benefit_vector_results_outlive_later_calls(q, variant):
-    # the kernel reuses workspace buffers; no returned vector may alias them
+    # the kernel keeps its join rows on the state; no returned vector may alias them
     state = SaturationState(canonical_plane(q))
     state.add_point(0)
     state.add_point(1)
@@ -284,6 +287,35 @@ def relabelled_planes(tmp_path_factory):
         assert not np.array_equal(loaded.point_lines, loaded.line_points)
         planes.append(loaded)
     return planes
+
+
+# On a canonical plane `point_lines` is `line_points`, so a kernel that
+# reads one table for the other passes there; these planes tell them apart.
+
+def test_benefit_vector_on_relabelled_planes(relabelled_planes):
+    for pl in relabelled_planes:
+        for state in kernel_states(pl):
+            assert_vector_matches_oracle(state)
+
+
+def test_benefit_vector_on_bulk_states_from_unsorted_points(relabelled_planes):
+    # a bulk state builds the join rows of all its points in one call
+    for pl in [canonical_plane(7)] + relabelled_planes:
+        rng = np.random.default_rng(pl.q)
+        for size in (3, 5, pl.q + 2):
+            pts = rng.permutation(pl.n)[:size]
+            assert not np.all(np.diff(pts) > 0)
+            assert_vector_matches_oracle(SaturationState(pl, pts.tolist()))
+
+
+def test_benefit_vector_after_every_add_point(relabelled_planes):
+    # the join rows grow one point at a time from an empty state
+    for pl in relabelled_planes:
+        state = SaturationState(pl)
+        for p in np.random.default_rng(pl.n).permutation(pl.n)[: pl.q + 3].tolist():
+            assert_vector_matches_oracle(state)
+            state.add_point(p)
+        assert_vector_matches_oracle(state)
 
 
 def _sample(plane, p, seed):
