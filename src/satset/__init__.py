@@ -5,22 +5,20 @@ triangle), verification against the defining property, size bounds, and
 the covering-hypergraph view of the completion problem.
 """
 
-from .gf import GaloisField, factor_prime_power, field_for_order, field_new, subfield_elements
+from .gf import GaloisField, factor_prime_power, field_for_order, subfield_elements
 from .plane import (PlaneAxiomError, ProjectivePlane, build_pg2, canonical_plane,
-                    load_plane, load_point_set, save_plane, save_point_set,
-                    skew_lines, validate_axioms)
+                    load_plane, load_point_set, save_plane, save_point_set, validate_axioms)
 from .formulas import (contraction_product, default_step_cap,
                        expected_unsaturated, expected_unsaturated_main_term,
                        lunelli_sce_bound, sampling_probability, theorem_bound)
 from .saturation import (RandomTrialStats, SaturationState, StepRecord,
                          VerificationError, complete, greedy_construct,
-                         greedy_step, is_saturating, minsat_bruteforce,
-                         monte_carlo_expectation, random_construct,
-                         undetermined_count, unsaturated)
+                         is_saturating, minsat_bruteforce, monte_carlo_expectation,
+                         random_construct, undetermined_count, unsaturated)
 from .baer import BaerEmbedding, baer_subplane, three_subline_construction
 from .hypergraph import (SetFamily, TransversalResult,
                          check_uniform_intersecting, greedy_transversal,
-                         load_family, pairwise_intersection_sizes,
-                         saturation_family, save_family, transversal_bound)
+                         pairwise_intersection_sizes, saturation_family,
+                         transversal_bound)
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import subfield_elements
-from .plane import ProjectivePlane, line_hits, point_triple, triple_index
+from .plane import ProjectivePlane, line_hits, triple_index
 from .saturation import _proven
 
 

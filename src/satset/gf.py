@@ -274,11 +274,6 @@ class GaloisField:
         return result
 
 
-def field_new(p: int, e: int) -> GaloisField:
-    """Construct GF(p^e) with the canonical irreducible polynomial."""
-    return GaloisField(p, e)
-
-
 def field_for_order(q: int) -> GaloisField:
     """Construct GF(q) for a prime power q; an order above the cap is refused unfactored."""
     if q > ORDER_CAP:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -21,8 +20,6 @@ import numpy as np
 from .formulas import _precise_ceil
 from .plane import ProjectivePlane, join_rows
 from .saturation import _proven, unsaturated
-
-FAMILY_HEADER = "FAMILY v1"
 
 # Largest family `saturation_family` builds, in bytes of its bool incidence
 # matrix, the float32 copy the Gram product reads and the m x m product.
@@ -214,41 +211,3 @@ def augmented_set(plane: ProjectivePlane, seed_set: Iterable[int],
     """
     return _proven(plane, set(int(v) for v in seed_set) | set(result.vertices))
 
-
-# ---------------------------------------------------------------------------
-# family file format
-# ---------------------------------------------------------------------------
-
-def save_family(family: SetFamily, destination) -> None:
-    out = [f"{FAMILY_HEADER} n={family.ground_size} m={len(family)}"]
-    out.extend(" ".join(map(str, np.flatnonzero(row).tolist())) for row in family.incidence)
-    Path(destination).write_text("\n".join(out) + "\n")
-
-
-def load_family(source) -> SetFamily:
-    text = Path(source).read_text()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ValueError("family file is empty")
-    head = lines[0].split(" ")
-    if (len(head) != 4 or " ".join(head[:2]) != FAMILY_HEADER
-            or not head[2].startswith("n=") or not head[3].startswith("m=")):
-        raise ValueError(f"bad family header {lines[0]!r}")
-    try:
-        n, m = int(head[2][2:]), int(head[3][2:])
-    except ValueError:
-        raise ValueError(f"bad family header {lines[0]!r}") from None
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge rows, got {len(lines) - 1}")
-    edges = []
-    for k, row in enumerate(lines[1:]):
-        try:
-            vals = [int(tok) for tok in row.split(" ")]
-        except ValueError:
-            raise ValueError(f"edge {k}: non-integer token") from None
-        if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
-            raise ValueError(f"edge {k}: vertices must be strictly ascending")
-        edges.append(frozenset(vals))
-    return SetFamily(ground_size=n, edges=tuple(edges))

@@ -336,12 +336,6 @@ def _point_indices(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
     return idx
 
 
-def skew_lines(plane: ProjectivePlane, points: Iterable[int]) -> list[int]:
-    """All lines containing no point of the given set, ascending."""
-    idx = _point_indices(plane, points)
-    return np.flatnonzero(line_hits(plane, idx) == 0).tolist()
-
-
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
@@ -362,9 +356,17 @@ def load_plane(source) -> ProjectivePlane:
     row-by-row checks find it: leading or trailing whitespace, then a
     non-integer token, then the first failure of `validate_axioms`, which
     is a `PlaneAxiomError`.  An order above `PLANE_BYTES_CAP` is refused
-    before any row is parsed.
+    once the header and order lines are read, before the rest of the file.
     """
-    text = Path(source).read_text()
+    with Path(source).open() as f:
+        header, order = f.readline(), f.readline()
+        if header.rstrip("\n") == PLANE_HEADER and order.startswith("q="):
+            try:
+                declared = int(order[2:])
+            except ValueError:
+                declared = 0        # refused below as a bad order line
+            check_table_bytes(declared)
+        text = header + order + f.read()
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -382,7 +384,6 @@ def load_plane(source) -> ProjectivePlane:
         raise ValueError(f"bad order line {lines[1]!r}") from None
     if q < 2:
         raise ValueError(f"order must be >= 2, got {q}")
-    check_table_bytes(q)
     n = q * q + q + 1
     data = lines[2:]
     if len(data) != n:

@@ -141,14 +141,6 @@ class SaturationState:
     def current_set(self) -> set[int]:
         return set(self.chosen)
 
-    @property
-    def unsaturated_set(self) -> set[int]:
-        return set(np.flatnonzero(self.in_unsat).tolist())
-
-    @property
-    def determined_set(self) -> set[int]:
-        return set(np.flatnonzero(~self.in_unsat & ~self.in_chosen).tolist())
-
     def add_point(self, point: int) -> int:
         """Add a point to the chosen set; returns how many points left R."""
         if not 0 <= point < self.plane.n:
@@ -222,13 +214,6 @@ class SaturationState:
         out[self.in_chosen] = -1
         return out
 
-    def check_partition(self) -> bool:
-        """S, D, R partition the points and R matches a full recount."""
-        s, d, r = self.in_chosen, ~self.in_unsat & ~self.in_chosen, self.in_unsat
-        if np.any(s & r) or int(s.sum() + d.sum() + r.sum()) != self.plane.n:
-            return False
-        return self.unsaturated_set == unsaturated(self.plane, self.chosen)
-
 
 # ---------------------------------------------------------------------------
 # greedy construction
@@ -254,20 +239,12 @@ class StepRecord:
     skew_benefit_sum: int | None = None
 
 
-@dataclass
-class _Selection:
-    point: int
-    benefit: int
-    skew_line: int | None
-    min_skew_intersection: int | None
-    skew_benefit_sum: int | None
-
-
 VARIANTS = ("skew", "global")
 STOP_RULES = ("benefit-floor", "step-cap", "exhaust")
 
 
-def _select(state: SaturationState, variant: str) -> _Selection:
+def _select(state: SaturationState, variant: str) -> StepRecord:
+    """The step the variant would take next, not yet applied to the state."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if state.size < 2:
@@ -275,7 +252,7 @@ def _select(state: SaturationState, variant: str) -> _Selection:
                          "see greedy_construct for the startup")
     if state.unsat_count == 0:
         raise ValueError("no unsaturated points remain")
-    plane = state.plane
+    plane, i, r = state.plane, state.size, state.unsat_count
     skew = np.flatnonzero(state.line_hits == 0)
     l_star = min_int = benefit_sum = None
     # the skew variant needs only its skew line's benefits, global all of them
@@ -289,7 +266,6 @@ def _select(state: SaturationState, variant: str) -> _Selection:
         benefit_sum = int(line_benefits.sum())
         # double count: each unsaturated point on the line is removable
         # only by itself, each one off it by its |S| connecting points
-        i, r = state.size, state.unsat_count
         assert benefit_sum == min_int + i * (r - min_int), \
             "benefit double-count identity failed"
         assert min_int * plane.q <= r, \
@@ -297,23 +273,14 @@ def _select(state: SaturationState, variant: str) -> _Selection:
     scores = line_benefits if bvec is None else bvec
     k = int(np.argmax(scores))              # rows ascend: first maximum = lowest index
     pick = int(line_pts[k]) if bvec is None else k
-    return _Selection(pick, int(scores[k]), l_star, min_int, benefit_sum)
+    benefit = int(scores[k])
+    return StepRecord(i, pick, benefit, r, r - benefit, l_star, min_int, benefit_sum)
 
 
-def _apply(state: SaturationState, sel: _Selection) -> StepRecord:
-    i, r_before = state.size, state.unsat_count
-    removed = state.add_point(sel.point)
-    assert removed == sel.benefit, "incremental update disagrees with benefit"
-    return StepRecord(step=i, point=sel.point, benefit=sel.benefit,
-                      r_before=r_before, r_after=state.unsat_count,
-                      skew_line=sel.skew_line,
-                      min_skew_intersection=sel.min_skew_intersection,
-                      skew_benefit_sum=sel.skew_benefit_sum)
-
-
-def greedy_step(state: SaturationState, variant: str = "skew") -> StepRecord:
-    """Commit one greedy step; ties always break to the lowest index."""
-    return _apply(state, _select(state, variant))
+def _apply(state: SaturationState, step: StepRecord) -> StepRecord:
+    removed = state.add_point(step.point)
+    assert removed == step.benefit, "incremental update disagrees with benefit"
+    return step
 
 
 def greedy_construct(plane: ProjectivePlane, variant: str = "skew",

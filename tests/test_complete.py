@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 
+from oracles import check_partition, greedy_step
 from satset.plane import canonical_plane
-from satset.saturation import (SaturationState, complete, greedy_step,
-                               is_saturating, unsaturated)
+from satset.saturation import SaturationState, complete, is_saturating, unsaturated
 
 
 def complete_from(plane, points):
@@ -80,4 +80,4 @@ def test_complete_finishes_a_greedy_state_like_a_fresh_one():
                 expected = complete_from(pl, chosen)
                 assert complete(state) == expected
                 assert state.current_set == expected and state.unsat_count == 0
-                assert state.check_partition()
+                assert check_partition(state)

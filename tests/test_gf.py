@@ -5,7 +5,7 @@ import pytest
 
 from satset import gf
 from satset.gf import (ORDER_CAP, GaloisField, factor_prime_power, field_for_order,
-                       field_new, is_prime, subfield_elements)
+                       is_prime, subfield_elements)
 
 
 def test_factor_prime_power():
@@ -20,16 +20,16 @@ def test_factor_prime_power():
 
 def test_constructor_rejects_bad_input():
     with pytest.raises(ValueError):
-        field_new(4, 1)          # not prime
+        GaloisField(4, 1)          # not prime
     with pytest.raises(ValueError):
-        field_new(2, 0)
+        GaloisField(2, 0)
     with pytest.raises(ValueError):
-        field_new(2, 21)         # above the order cap
+        GaloisField(2, 21)         # above the order cap
 
 
 def test_canonical_irreducibles():
     # only monic irreducible quadratic over GF(2)
-    assert field_new(2, 2).irreducible == (1, 1, 1)
+    assert GaloisField(2, 2).irreducible == (1, 1, 1)
     # exhaustive oracle for GF(9): smallest-encoding monic quadratic
     # without a root (degree 2, so root-freeness = irreducibility)
     best = None
@@ -38,18 +38,18 @@ def test_canonical_irreducibles():
         if all((t * t + b * t + c) % 3 != 0 for t in range(3)):
             best = (c, b, 1)
             break
-    f9 = field_new(3, 2)
+    f9 = GaloisField(3, 2)
     assert f9.irreducible == best == (1, 0, 1)
-    assert field_new(5, 1).irreducible is None
+    assert GaloisField(5, 1).irreducible is None
 
 
 def test_spec_arithmetic_values():
-    f4 = field_new(2, 2)
+    f4 = GaloisField(2, 2)
     assert f4.add(1, 1) == 0
     assert f4.add(2, 3) == 1
     assert f4.mul(2, 2) == 3
     assert f4.inv(2) == 3
-    f5 = field_new(5, 1)
+    f5 = GaloisField(5, 1)
     assert f5.add(3, 4) == 2
     assert f5.mul(2, 4) == 3
     assert f5.inv(2) == 3
@@ -82,7 +82,7 @@ def test_field_axioms_exhaustive(q):
 
 def test_every_field_up_to_the_order_cap_is_tabled():
     # the largest field is tabled like every other; above it none is built
-    f = field_new(2, 10)
+    f = GaloisField(2, 10)
     assert f.q == ORDER_CAP == 1024
     assert f.tables["add"].shape == f.tables["mul"].shape == (1024, 1024)
     a, b = 1000, 987
@@ -91,7 +91,7 @@ def test_every_field_up_to_the_order_cap_is_tabled():
     assert f.pow(a, f.q - 1) == 1
     for p, e in ((2, 11), (3, 7)):
         with pytest.raises(ValueError, match=f"field order {p**e} exceeds cap 1024"):
-            field_new(p, e)
+            GaloisField(p, e)
 
 
 def test_huge_order_refused_before_factoring(monkeypatch):
@@ -121,11 +121,11 @@ def test_public_tables_are_read_only_int32_and_match_the_scalar_ops():
 
 def test_zero_inverse_rejected():
     with pytest.raises(ZeroDivisionError):
-        field_new(2, 2).inv(0)
+        GaloisField(2, 2).inv(0)
 
 
 def test_element_range_checked():
-    f = field_new(2, 2)
+    f = GaloisField(2, 2)
     with pytest.raises(ValueError):
         f.add(0, 4)
     with pytest.raises(ValueError):
@@ -148,15 +148,15 @@ def test_subfield_elements(q, s):
 
 
 def test_subfield_prime_subfields():
-    assert subfield_elements(field_new(2, 2), 2) == [0, 1]
-    assert subfield_elements(field_new(3, 2), 3) == [0, 1, 2]
+    assert subfield_elements(GaloisField(2, 2), 2) == [0, 1]
+    assert subfield_elements(GaloisField(3, 2), 3) == [0, 1, 2]
 
 
 def test_subfield_rejects_non_square():
     with pytest.raises(ValueError):
-        subfield_elements(field_new(2, 3), 2)
+        subfield_elements(GaloisField(2, 3), 2)
     with pytest.raises(ValueError):
-        subfield_elements(field_new(3, 2), 4)
+        subfield_elements(GaloisField(3, 2), 4)
 
 
 def test_is_prime():

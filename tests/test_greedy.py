@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import greedy_step, skew_lines
 from satset import saturation
 from satset.formulas import default_step_cap, theorem_bound
-from satset.plane import canonical_plane, skew_lines
-from satset.saturation import (SaturationState, greedy_construct, greedy_step,
-                               is_saturating, minsat_bruteforce)
+from satset.plane import canonical_plane
+from satset.saturation import (SaturationState, greedy_construct, is_saturating,
+                               minsat_bruteforce)
 
 
 def random_state(plane, rng, size):

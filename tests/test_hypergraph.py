@@ -5,13 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import relabelled_plane
 from satset import hypergraph
 from satset.cli import main
 from satset.hypergraph import (SetFamily, check_uniform_intersecting,
                                greedy_transversal, intersection_lemma_holds,
-                               load_family,
                                pairwise_intersection_sizes, saturation_family,
-                               save_family, transversal_bound)
+                               transversal_bound)
 from satset.plane import canonical_plane
 from satset.saturation import is_saturating, unsaturated
 
@@ -178,39 +178,6 @@ def test_transversal_saturates_the_seed():
             assert is_saturating(pl, seed_set | set(res.vertices))
 
 
-def test_family_file_round_trip(tmp_path):
-    pl = canonical_plane(7)
-    fam = saturation_family(pl, {0, 1, 9})
-    path = tmp_path / "fam.txt"
-    save_family(fam, path)
-    assert "edges" not in fam.__dict__          # written from the incidence rows
-    loaded = load_family(path)
-    assert loaded.ground_size == fam.ground_size
-    assert np.array_equal(loaded.incidence, fam.incidence)
-    assert np.array_equal(loaded.intersections, fam.intersections)
-    assert loaded.edges == fam.edges
-    text = path.read_text()
-    assert text.startswith(f"FAMILY v1 n={pl.n} m={len(fam)}\n")
-    save_family(loaded, tmp_path / "again.txt")
-    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
-
-
-def test_family_file_malformed(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("FAMILY v2 n=4 m=1\n0 1\n")
-    with pytest.raises(ValueError, match="header"):
-        load_family(path)
-    path.write_text("FAMILY v1 n=4 m=2\n0 1\n")
-    with pytest.raises(ValueError, match="edge rows"):
-        load_family(path)
-    path.write_text("FAMILY v1 n=4 m=1\n1 0\n")
-    with pytest.raises(ValueError, match="ascending"):
-        load_family(path)
-    path.write_text("FAMILY v1 n=4 m=1\n0 9\n")
-    with pytest.raises(ValueError, match="outside"):
-        load_family(path)
-
-
 # ---------------------------------------------------------------------------
 # the packed kernels against frozenset and recompute-every-round references
 # ---------------------------------------------------------------------------
@@ -298,6 +265,28 @@ def test_intersection_lemma_holds_and_detects_a_perturbed_edge():
     perturbed = SetFamily(fam.ground_size, fam.edges[:-1] + (swapped,), fam.labels)
     assert check_uniform_intersecting(perturbed)[0] == len(edge)
     assert not intersection_lemma_holds(pl, perturbed, seed_set)
+
+
+@pytest.mark.parametrize("q", [4, 16])
+def test_family_on_a_relabelled_plane_matches_the_canonical_one(tmp_path, q):
+    # a loaded plane's `point_lines` is not its `line_points`, so a family
+    # built from one table in place of the other differs after relabelling
+    relabelled, relabel = relabelled_plane(q, tmp_path)
+    pl = canonical_plane(q)
+    rng = np.random.default_rng(q + 7)
+    for size in (2, 3):
+        for _ in range(4):
+            seed_set = [int(v) for v in rng.choice(pl.n, size=size, replace=False)]
+            moved_seed = [int(relabel[v]) for v in seed_set]
+            fam = saturation_family(pl, seed_set)
+            moved = saturation_family(relabelled, moved_seed)
+            assert len(fam) >= 2
+            expected = {int(relabel[x]): frozenset(int(relabel[v]) for v in edge)
+                        for x, edge in zip(fam.labels, fam.edges)}
+            assert moved.labels == tuple(sorted(expected))
+            assert dict(zip(moved.labels, moved.edges)) == expected
+            assert check_uniform_intersecting(moved) == check_uniform_intersecting(fam)
+            assert intersection_lemma_holds(relabelled, moved, moved_seed)
 
 
 # ---------------------------------------------------------------------------

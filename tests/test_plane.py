@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import skew_lines
 from satset import plane
 from satset.cli import main
 from satset.gf import factor_prime_power, field_for_order
@@ -13,7 +14,7 @@ from satset.plane import (PlaneAxiomError, ProjectivePlane, ValidationReport,
                           _row_counts, build_pg2,
                           canonical_plane, load_plane, load_point_set,
                           point_triple, save_plane, save_point_set,
-                          skew_lines, triple_index, validate_axioms)
+                          triple_index, validate_axioms)
 
 # the Fano plane under the canonical indexing, derived by hand from the
 # dual-triple encoding (line j's dual is the triple of point j)
@@ -284,6 +285,18 @@ def test_plane_bytes_ceiling(monkeypatch, tmp_path, capsys):
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err.splitlines()[-1].endswith(
             "PG(2,7) needs a 0 MiB incidence table, above the 0 MiB ceiling")
+
+
+
+def test_load_plane_checks_the_order_line_before_the_rows(tmp_path):
+    # an over-ceiling order is refused from the first two lines, so the
+    # ceiling wins over a defect further on, here the missing final newline
+    path = tmp_path / "big.txt"
+    path.write_text("PLANE v1\nq=2000\n0 1 2")
+    with pytest.raises(ValueError) as info:
+        load_plane(path)
+    assert str(info.value) == ("PG(2,2000) needs a 30548 MiB incidence table, "
+                               "above the 2048 MiB ceiling")
 
 
 def test_plane_equality_ignores_origin(tmp_path):

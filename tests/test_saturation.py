@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import (check_partition, determined_set, greedy_step, relabelled_plane,
+                     skew_lines, unsaturated_set)
 from satset.formulas import sampling_probability
-from satset.plane import (ProjectivePlane, canonical_plane, load_plane, save_plane,
-                          skew_lines)
+from satset.plane import canonical_plane
 from satset.rng import generator_from_seed
 from satset.saturation import (VARIANTS, SaturationState, _covered_mask,
-                               greedy_step, is_saturating, undetermined_count,
-                               unsaturated)
+                               is_saturating, undetermined_count, unsaturated)
 
 
 def brute_unsaturated(plane, points):
@@ -126,7 +126,7 @@ def test_benefit_examples():
     with pytest.raises(ValueError):
         state.benefit(0)                        # already chosen
     # any unsaturated candidate saturates at least itself
-    for p in state.unsaturated_set:
+    for p in unsaturated_set(state):
         assert state.benefit(p) >= 1
 
 
@@ -201,7 +201,7 @@ def kernel_states(pl):
         state.add_point(0)
         state.add_point(1)
         while state.unsat_count:
-            if state.determined_set:
+            if determined_set(state):
                 yield state
             greedy_step(state, variant)
 
@@ -258,8 +258,8 @@ def test_state_partition_invariant_random_walks():
         order = rng.permutation(pl.n)
         for p in order[: q + 4]:
             state.add_point(int(p))
-            assert state.check_partition()
-        s, d, r = state.current_set, state.determined_set, state.unsaturated_set
+            assert check_partition(state)
+        s, d, r = state.current_set, determined_set(state), unsaturated_set(state)
         assert s | d | r == set(range(pl.n))
         assert not (s & d) and not (s & r) and not (d & r)
 
@@ -275,18 +275,7 @@ def test_add_point_rejects_duplicates():
 def relabelled_planes(tmp_path_factory):
     """Seeded relabellings of PG(2,q), saved and loaded, so that
     `point_lines` is a separate table that differs from `line_points`."""
-    planes = []
-    for q in (4, 16):
-        pl = canonical_plane(q)
-        rng = np.random.default_rng(q)
-        relabel = rng.permutation(pl.n)
-        rows = np.sort(relabel[pl.line_points], axis=1)[rng.permutation(pl.n)]
-        path = tmp_path_factory.mktemp("planes") / f"relabelled{q}.txt"
-        save_plane(ProjectivePlane(q, rows, origin="relabelled"), path)
-        loaded = load_plane(path)
-        assert not np.array_equal(loaded.point_lines, loaded.line_points)
-        planes.append(loaded)
-    return planes
+    return [relabelled_plane(q, tmp_path_factory.mktemp("planes"))[0] for q in (4, 16)]
 
 
 # On a canonical plane `point_lines` is `line_points`, so a kernel that
@@ -356,7 +345,7 @@ def test_bulk_state_on_relabelled_planes(relabelled_planes):
                 pts = _sample(pl, p, seed)
                 state = SaturationState(pl, pts)
                 _assert_same_state(state, _sequential_state(pl, pts))
-                assert state.check_partition()
+                assert check_partition(state)
 
 
 @pytest.mark.parametrize("bad", [2**70, -2**70, 2**64])
