@@ -366,7 +366,8 @@ def load_plane(source) -> ProjectivePlane:
             except ValueError:
                 declared = 0        # refused below as a bad order line
             check_table_bytes(declared)
-        text = header + order + f.read()
+        f.seek(0)
+        text = f.read()
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -11,7 +11,7 @@ addition would remove, counting the candidate itself once S is nonempty.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -244,7 +244,7 @@ STOP_RULES = ("benefit-floor", "step-cap", "exhaust")
 
 
 def _select(state: SaturationState, variant: str) -> StepRecord:
-    """The step the variant would take next, not yet applied to the state."""
+    """The step the variant would take next; `_apply` records the r_after it leaves."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if state.size < 2:
@@ -274,13 +274,15 @@ def _select(state: SaturationState, variant: str) -> StepRecord:
     k = int(np.argmax(scores))              # rows ascend: first maximum = lowest index
     pick = int(line_pts[k]) if bvec is None else k
     benefit = int(scores[k])
-    return StepRecord(i, pick, benefit, r, r - benefit, l_star, min_int, benefit_sum)
+    return StepRecord(step=i, point=pick, benefit=benefit, r_before=r,
+                      r_after=r - benefit, skew_line=l_star,
+                      min_skew_intersection=min_int, skew_benefit_sum=benefit_sum)
 
 
 def _apply(state: SaturationState, step: StepRecord) -> StepRecord:
     removed = state.add_point(step.point)
     assert removed == step.benefit, "incremental update disagrees with benefit"
-    return step
+    return replace(step, r_after=state.unsat_count)
 
 
 def greedy_construct(plane: ProjectivePlane, variant: str = "skew",
