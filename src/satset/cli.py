@@ -124,8 +124,6 @@ def cmd_construct(args, parser) -> int:
         seed = args.seed
         points, stats = saturation.random_construct(pl, seed, args.p)
     else:
-        if pl.origin != "canonical-PG2":
-            parser.error("--method baer needs a canonical plane (--q)")
         points = baer.three_subline_construction(baer.baer_subplane(pl))
 
     doc = {
@@ -222,7 +220,7 @@ def cmd_mc(args, parser) -> int:
 
 def cmd_minsat(args, parser) -> int:
     pl = _resolve_plane(args, parser)
-    size, witness = saturation.minsat_bruteforce(pl, allow_large=args.force)
+    size, witness = saturation.minsat_bruteforce(pl)
     print(f"q={pl.q} n={pl.n}")
     print(f"minimum={size}")
     print("witness=" + " ".join(str(v) for v in sorted(witness)))
@@ -312,8 +310,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p_minsat = sub.add_parser("minsat", help="exact minimum by exhaustive search")
     add_plane_args(p_minsat)
-    p_minsat.add_argument("--force", action="store_true",
-                          help="override the 21-point cap")
 
     p_hyper = sub.add_parser("hypergraph", help="saturation family diagnostics")
     add_plane_args(p_hyper)

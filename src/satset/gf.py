@@ -1,4 +1,4 @@
-"""Arithmetic in GF(p^e), with field elements encoded as plain integers.
+"""GF(p^e) as four lookup tables over integer-encoded elements.
 
 An element is an index in [0, q) whose base-p digits (c_0, ..., c_{e-1})
 are the coefficients of c_0 + c_1*x + ... + c_{e-1}*x^(e-1).  Index 0 is
@@ -8,8 +8,9 @@ the monic irreducible of degree e whose non-leading coefficient vector
 encodes to the smallest integer sum(c_j * p^j).  That choice makes every
 derived index (points of PG(2,q), subfields, constructions) reproducible.
 
-Every field is built with full lookup tables, which every public op reads;
-the polynomial `_raw_*` ops seed the product table and are the tests' oracle.
+A field is its read-only "add", "neg", "mul" and "inv" tables, which the
+plane builder indexes in bulk; it has no scalar ops.  The polynomial
+`_raw_*` ops build the tables and are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -19,32 +20,26 @@ import numpy as np
 ORDER_CAP = 1024           # largest field order p^e: 8 MiB of q x q tables
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
+def _smallest_factor(n: int) -> int:
+    """The smallest prime factor of n >= 2, by trial division."""
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            return d
+        d += 1
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _smallest_factor(n) == n
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e, p prime; raise ValueError otherwise."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    e = 0
-    m = q
+    p = _smallest_factor(q)
+    e, m = 0, q
     while m % p == 0:
         m //= p
         e += 1
@@ -128,8 +123,8 @@ class GaloisField:
     """GF(p^e), q = p^e <= ORDER_CAP, with integer-encoded elements.
 
     `tables` holds full read-only int32 "add", "neg", "mul" and "inv"
-    arrays; the scalar ops read them, and the plane builder indexes them
-    in bulk.
+    arrays indexed by element; `inv[0]` is a placeholder 0.  They are the
+    whole interface: the class has no public method.
     """
 
     def __init__(self, p: int, e: int):
@@ -182,16 +177,11 @@ class GaloisField:
     def _generator(self) -> int:
         """Smallest multiplicative generator of GF(q)*."""
         order = self.q - 1
-        factors = []
-        m, d = order, 2
-        while d * d <= m:
-            if m % d == 0:
-                factors.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            factors.append(m)
+        factors, m = [], order
+        while m > 1:
+            factors.append(d := _smallest_factor(m))
+            while m % d == 0:
+                m //= d
         for g in range(2, self.q):
             if all(self._raw_pow(g, order // f) != 1 for f in factors):
                 return g
@@ -229,50 +219,6 @@ class GaloisField:
             tables[name].setflags(write=False)
         return tables
 
-    # -- public ops ----------------------------------------------------
-
-    def _check(self, a: int):
-        if not 0 <= a < self.q:
-            raise ValueError(f"{a} is not an element index of GF({self.q})")
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        return int(self.tables["add"][a, b])
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        return int(self.tables["neg"][a])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        return int(self.tables["mul"][a, b])
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self.tables["inv"][a])
-
-    def pow(self, a: int, k: int) -> int:
-        self._check(a)
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        if a == 0:
-            return 1 if k == 0 else 0
-        result, base = 1, a
-        mul = self.tables["mul"]
-        while k:
-            if k & 1:
-                result = int(mul[result, base])
-            base = int(mul[base, base])
-            k >>= 1
-        return result
-
 
 def field_for_order(q: int) -> GaloisField:
     """Construct GF(q) for a prime power q; an order above the cap is refused unfactored."""
@@ -287,7 +233,12 @@ def subfield_elements(field: GaloisField, s: int) -> list[int]:
 
     These are exactly the fixed points of x -> x^s, returned in ascending
     index order; the set is closed under add and mul and contains 0 and 1.
+    All q powers are taken at once, s products each through the "mul" table.
     """
     if s < 2 or s * s != field.q:
         raise ValueError(f"field order {field.q} is not the square of {s}")
-    return [x for x in range(field.q) if field.pow(x, s) == x]
+    x = np.arange(field.q)
+    power = np.ones_like(x)
+    for _ in range(s):
+        power = field.tables["mul"][power, x]
+    return np.flatnonzero(power == x).tolist()

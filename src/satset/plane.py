@@ -126,12 +126,6 @@ class ProjectivePlane:
     def __repr__(self):
         return f"ProjectivePlane(q={self.q}, n={self.n}, origin={self.origin!r})"
 
-    def points_on_line(self, line: int) -> list[int]:
-        return self.line_points[line].tolist()
-
-    def lines_through(self, point: int) -> list[int]:
-        return self.point_lines[point].tolist()
-
     def line_through(self, p: int, r: int) -> int:
         """Index of the unique line containing two distinct points."""
         for v in (p, r):
@@ -340,6 +334,12 @@ def _point_indices(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
 # file formats
 # ---------------------------------------------------------------------------
 
+def _echo(text: str) -> str:
+    """repr(text) for an error message, cut to 40 characters and marked '...'."""
+    shown = repr(text)
+    return shown if len(shown) <= 40 else shown[:40] + "..."
+
+
 def save_plane(plane: ProjectivePlane, destination) -> None:
     """Write the plane file: header, order, then one ascending row per line."""
     out = [PLANE_HEADER, f"q={plane.q}"]
@@ -376,13 +376,13 @@ def load_plane(source) -> ProjectivePlane:
     if len(lines) < 2:
         raise ValueError("plane file is missing its header")
     if lines[0] != PLANE_HEADER:
-        raise ValueError(f"bad header: expected {PLANE_HEADER!r}, got {lines[0]!r}")
+        raise ValueError(f"bad header: expected {PLANE_HEADER!r}, got {_echo(lines[0])}")
     if not lines[1].startswith("q="):
         raise ValueError("second line must be q=<order>")
     try:
         q = int(lines[1][2:])
     except ValueError:
-        raise ValueError(f"bad order line {lines[1]!r}") from None
+        raise ValueError(f"bad order line {_echo(lines[1])}") from None
     if q < 2:
         raise ValueError(f"order must be >= 2, got {q}")
     n = q * q + q + 1
@@ -453,7 +453,7 @@ def load_point_set(source) -> set[int]:
         try:
             v = int(body)
         except ValueError:
-            raise ValueError(f"line {ln}: expected a point index, got {body!r}") from None
+            raise ValueError(f"line {ln}: expected a point index, got {_echo(body)}") from None
         if values and v <= values[-1]:
             raise ValueError(f"line {ln}: indices must be strictly ascending")
         values.append(v)

@@ -20,7 +20,7 @@ from . import formulas
 from .plane import ProjectivePlane, _point_indices, join_rows, line_hits, point_hits
 from .rng import generator_from_seed, trial_generator
 
-BRUTEFORCE_POINT_CAP = 21
+BRUTEFORCE_POINT_CAP = 31
 
 # Largest float64 sample array `monte_carlo_expectation` allocates, in bytes.
 SAMPLE_BYTES_CAP = 1 << 31
@@ -467,19 +467,18 @@ def monte_carlo_expectation(plane: ProjectivePlane, p: float, trials: int,
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
-def minsat_bruteforce(plane: ProjectivePlane, allow_large: bool = False,
-                      ) -> tuple[int, set[int]]:
+def minsat_bruteforce(plane: ProjectivePlane) -> tuple[int, set[int]]:
     """Exact minimum saturating-set size with the lexicographically first witness.
 
     Enumerates subsets in increasing size, lexicographically within each
     size, using bitmask incidence; no lower-bound pruning, so the result
-    is a bound-free oracle.  Refuses planes with more than 21 points
-    unless allow_large is set.
+    is a bound-free oracle.  Refuses planes with more than
+    `BRUTEFORCE_POINT_CAP` points: PG(2,5) (31) takes a fraction of a
+    second, while PG(2,7) (57) would try over 36 million 6-subsets.
     """
     n = plane.n
-    if n > BRUTEFORCE_POINT_CAP and not allow_large:
-        raise ValueError(f"plane has {n} points; brute force capped at "
-                         f"{BRUTEFORCE_POINT_CAP} (pass allow_large=True to override)")
+    if n > BRUTEFORCE_POINT_CAP:
+        raise ValueError(f"plane has {n} points; brute force capped at {BRUTEFORCE_POINT_CAP}")
     line_bits = [0] * n
     for j in range(n):
         m = 0

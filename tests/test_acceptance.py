@@ -219,8 +219,8 @@ def test_criterion_09_hypergraph_suite():
                     labels = family.labels
                     for i in range(len(family)):
                         for j in range(i + 1, len(family)):
-                            line = plane.points_on_line(
-                                plane.line_through(labels[i], labels[j]))
+                            line = plane.line_points[
+                                plane.line_through(labels[i], labels[j])]
                             hits = sum(1 for v in line if v in seed_set)
                             want = (s0_size * (s0_size - 1) if hits == 0 else
                                     (s0_size - 1) * (s0_size - 2) + q)

@@ -27,11 +27,11 @@ def test_q9_lines_meet_subplane_in_1_or_4():
     emb = baer_subplane(pl)
     members = set(emb.subplane_points)
     assert len(members) == 13
-    sizes = sorted({len(members.intersection(pl.points_on_line(j)))
+    sizes = sorted({len(members.intersection(pl.line_points[j].tolist()))
                     for j in range(pl.n)})
     assert sizes == [1, 4]
     secants = sum(1 for j in range(pl.n)
-                  if len(members.intersection(pl.points_on_line(j))) == 4)
+                  if len(members.intersection(pl.line_points[j].tolist())) == 4)
     assert secants == 13
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from satset import cli
 from satset.cli import main
 from satset.plane import canonical_plane, save_plane, save_point_set
+from satset.saturation import is_saturating
 
 DOC_KEYS = ["q", "n", "method", "variant", "stop_rule", "seed", "size",
             "points", "verified", "bound_theorem", "bound_lunelli_sce", "trace"]
@@ -162,8 +163,11 @@ def test_construct_usage_errors(capsys, tmp_path):
     save_plane(pl, path)
     assert run_error(capsys, ["construct", "--plane", str(path), "--q", "4",
                               "--method", "greedy"]) == 2
-    assert run_error(capsys, ["construct", "--plane", str(path),
-                              "--method", "baer"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--plane", str(path), "--method", "baer"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "satset: error: subfield subplanes need a canonical plane\n")
 
 
 def test_construct_cap_needs_step_cap_and_the_starting_pair(capsys):
@@ -321,7 +325,17 @@ def test_minsat_q2_and_cap(capsys):
     code, out = run(capsys, ["minsat", "--q", "2"])
     assert code == 0
     assert "minimum=4" in out
-    assert run_error(capsys, ["minsat", "--q", "5"]) == 2    # 31 points > cap
+    assert run_error(capsys, ["minsat", "--q", "7"]) == 2    # 57 points > cap
+    assert run_error(capsys, ["minsat", "--q", "2", "--force"]) == 2   # no override
+
+
+def test_minsat_q5_is_under_the_cap(capsys):
+    code, out = run(capsys, ["minsat", "--q", "5"])
+    assert code == 0
+    fields = dict(line.split("=", 1) for line in out.splitlines())
+    assert fields["minimum"] == "6"
+    witness = {int(v) for v in fields["witness"].split()}
+    assert len(witness) == 6 and is_saturating(canonical_plane(5), witness)
 
 
 def test_hypergraph_command(capsys):
@@ -372,6 +386,28 @@ def test_plane_gen_and_check(capsys, tmp_path):
     # unparseable file exits 2
     path.write_text("garbage\n")
     assert run_error(capsys, ["plane", "check", "--file", str(path)]) == 2
+
+
+# name: (file text, the command that reads it)
+LONG_LINES = {
+    "order line": ("PLANE v1\nq=7" + " 1" * 100_000 + "\n", ["plane", "check", "--file"]),
+    "header": ("X" * 100_000 + "\nq=3\n", ["plane", "check", "--file"]),
+    "point line": ("7" * 100_000 + "x\n", ["verify", "--q", "3", "--points"]),
+}
+
+
+@pytest.mark.parametrize("name", LONG_LINES)
+def test_long_input_lines_are_cut_in_the_error(capsys, tmp_path, name):
+    text, command = LONG_LINES[name]
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(command + [str(path)])
+    assert exc.value.code == 2
+    usage, *errors = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: ") and len(errors) == 1
+    assert errors[0].startswith("satset: error: ") and errors[0].endswith("...")
+    assert len(errors[0].encode()) <= 200
 
 
 @pytest.mark.parametrize("argv", [

@@ -33,7 +33,7 @@ def test_benefit_sum_identity_on_random_states(q):
         counts = {j: int(state.unsat_on_line[j]) for j in skew}
         l_star = min(skew, key=lambda j: (counts[j], j))
         cap = counts[l_star]
-        total = sum(state.benefit(p) for p in pl.points_on_line(l_star))
+        total = sum(state.benefit(p) for p in pl.line_points[l_star].tolist())
         assert total == cap + size * (state.unsat_count - cap)
         # min-intersection lemma, exact integer form of min <= |R|/q
         assert cap * q <= state.unsat_count
@@ -79,7 +79,7 @@ def test_skew_variant_falls_back_to_global():
     # unsaturated points remain off the line
     pl = canonical_plane(3)
     state = SaturationState(pl)
-    for p in pl.points_on_line(0):
+    for p in pl.line_points[0].tolist():
         state.add_point(p)
     assert not skew_lines(pl, state.current_set)
     assert state.unsat_count > 0
@@ -114,7 +114,7 @@ def test_skew_greedy_scores_its_line_without_the_benefit_vector(monkeypatch):
     assert calls["vector"] == 0
     # with no skew line left, the skew step falls back to the vector
     pl = canonical_plane(3)
-    state = SaturationState(pl, pl.points_on_line(0))
+    state = SaturationState(pl, pl.line_points[0].tolist())
     greedy_step(state, "skew")
     assert calls["vector"] == 1
 

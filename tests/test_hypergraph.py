@@ -86,7 +86,7 @@ def test_intersection_lemma_two_cases():
             pair = 0
             for i in range(len(fam)):
                 for j in range(i + 1, len(fam)):
-                    line = set(pl.points_on_line(pl.line_through(labels[i], labels[j])))
+                    line = set(pl.line_points[pl.line_through(labels[i], labels[j])].tolist())
                     hits = len(line & seed_set)
                     assert hits in (0, 1)
                     expected = (size * (size - 1) if hits == 0

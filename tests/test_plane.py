@@ -31,7 +31,7 @@ FANO_LINES = [
 
 def test_fano_incidence_frozen():
     pl = canonical_plane(2)
-    assert [pl.points_on_line(j) for j in range(7)] == FANO_LINES
+    assert [pl.line_points[j].tolist() for j in range(7)] == FANO_LINES
 
 
 def test_triple_round_trip():
@@ -53,8 +53,8 @@ def test_counts_and_duality():
         assert pl.point_lines.shape == (pl.n, q + 1)
         # cross-index consistency
         for p in range(0, pl.n, max(1, pl.n // 20)):
-            for j in pl.lines_through(p):
-                assert p in pl.points_on_line(j)
+            for j in pl.point_lines[p]:
+                assert p in pl.line_points[j]
 
 
 def test_pairs_on_unique_line_exhaustive_small():
@@ -70,8 +70,8 @@ def test_pairs_on_unique_line_exhaustive_small():
 
 def test_line_through_and_meet_fano():
     pl = canonical_plane(2)
-    assert pl.points_on_line(pl.line_through(0, 4)) == [0, 2, 4]
-    assert pl.points_on_line(pl.line_through(3, 0)) == [0, 3, 5]
+    assert pl.line_points[pl.line_through(0, 4)].tolist() == [0, 2, 4]
+    assert pl.line_points[pl.line_through(3, 0)].tolist() == [0, 3, 5]
     assert pl.meet(6, 4) == 0
     with pytest.raises(ValueError):
         pl.line_through(3, 3)
@@ -86,20 +86,20 @@ def test_line_through_symmetry_and_meet_duality():
         p, r = rng.choice(pl.n, size=2, replace=False)
         j = pl.line_through(int(p), int(r))
         assert j == pl.line_through(int(r), int(p))
-        row = pl.points_on_line(j)
+        row = pl.line_points[j]
         assert int(p) in row and int(r) in row
     for _ in range(200):
         l1, l2 = rng.choice(pl.n, size=2, replace=False)
         m = pl.meet(int(l1), int(l2))
         assert m == pl.meet(int(l2), int(l1))
-        assert m in pl.points_on_line(int(l1))
-        assert m in pl.points_on_line(int(l2))
+        assert m in pl.line_points[l1]
+        assert m in pl.line_points[l2]
 
 
 def test_meet_of_pencil_lines_is_the_point():
     pl = canonical_plane(3)
     for p in range(pl.n):
-        lines = pl.lines_through(p)
+        lines = pl.point_lines[p]
         assert pl.meet(lines[0], lines[1]) == p
 
 
@@ -113,7 +113,7 @@ def test_skew_lines():
         rng = np.random.default_rng(q)
         pts = set(int(v) for v in rng.choice(plq.n, size=q, replace=False))
         expect = [j for j in range(plq.n)
-                  if not pts.intersection(plq.points_on_line(j))]
+                  if not pts.intersection(plq.line_points[j].tolist())]
         assert skew_lines(plq, pts) == expect
         # each of the i points kills at most q+1 lines
         assert len(expect) >= plq.n - len(pts) * (q + 1)

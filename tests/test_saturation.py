@@ -17,8 +17,8 @@ def brute_unsaturated(plane, points):
     for p in range(plane.n):
         if p in pts:
             continue
-        if all(len(pts.intersection(plane.points_on_line(j))) < 2
-               for j in plane.lines_through(p)):
+        if all(len(pts.intersection(plane.line_points[j].tolist())) < 2
+               for j in plane.point_lines[p].tolist()):
             out.add(p)
     return out
 
@@ -35,7 +35,7 @@ def brute_benefit(plane, points, cand, unsat=None):
         unsat = brute_unsaturated(plane, pts)
     joined = set()
     for s in pts:
-        joined.update(plane.points_on_line(plane.line_through(cand, s)))
+        joined.update(plane.line_points[plane.line_through(cand, s)].tolist())
     return len(joined & unsat)
 
 
@@ -44,7 +44,7 @@ def test_unsaturated_examples():
     assert unsaturated(pl, {0, 4, 6}) == {3}
     assert unsaturated(pl, set()) == set(range(7))
     # one full line determines only itself
-    line = set(pl.points_on_line(0))
+    line = set(pl.line_points[0].tolist())
     assert unsaturated(pl, line) == set(range(7)) - line
 
 
