@@ -52,7 +52,7 @@ def _plane_order(value: str, parser, flag: str = "--q") -> int:
     try:
         q = int(value)
     except ValueError:
-        parser.error(f"{value} is not a prime power")
+        parser.error(f"{plane_mod._echo(value)} is not a prime power")
     plane_mod.check_table_bytes(q)    # cheap, so before the trial division
     factor_prime_power(q)
     return q
@@ -74,9 +74,20 @@ def _resolve_plane(args, parser) -> ProjectivePlane:
         parser.error("exactly one of --q and --plane is required")
     if args.q is not None:
         return canonical_plane(_plane_order(args.q, parser))
+    return _load_plane(args.plane, parser)
+
+
+def _load_plane(path: str, parser, *, raise_axiom_failure: bool = False) -> ProjectivePlane:
+    """load_plane, with a file it cannot read or accept refused as a usage error.
+
+    `plane check` reports a failed axiom itself, so it asks for that
+    `PlaneAxiomError` back instead.
+    """
     try:
-        return load_plane(args.plane)
+        return load_plane(path)
     except (OSError, ValueError) as exc:
+        if raise_axiom_failure and isinstance(exc, plane_mod.PlaneAxiomError):
+            raise
         parser.error(f"cannot load plane file: {exc}")
 
 
@@ -351,9 +362,7 @@ def cmd_plane(args, parser) -> int:
         print(f"wrote q={pl.q} plane ({pl.n} lines) to {args.file}")
         return 0
     try:
-        pl = load_plane(args.file)
-    except OSError as exc:
-        parser.error(str(exc))
+        pl = _load_plane(args.file, parser, raise_axiom_failure=True)
     except plane_mod.PlaneAxiomError as exc:
         print(exc)
         return 1

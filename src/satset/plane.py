@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
 
@@ -152,7 +153,11 @@ class ProjectivePlane:
 def check_table_bytes(q: int) -> None:
     """Refuse an order whose int32 incidence table exceeds `PLANE_BYTES_CAP`."""
     if (needed := (q * q + q + 1) * (q + 1) * 4) > PLANE_BYTES_CAP:
-        raise ValueError(f"PG(2,{q}) needs a {needed >> 20} MiB incidence table, "
+        # a figure over 60 digits is shown in E notation, which Decimal writes
+        # without the int-to-str conversion Python limits to 4300 digits
+        mib = needed >> 20
+        size = str(mib) if mib < 10 ** 60 else f"{Decimal(mib):.3e}"
+        raise ValueError(f"PG(2,{_echo(str(q))}) needs a {size} MiB incidence table, "
                          f"above the {PLANE_BYTES_CAP >> 20} MiB ceiling")
 
 
@@ -335,9 +340,8 @@ def _point_indices(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _echo(text: str) -> str:
-    """repr(text) for an error message, cut to 40 characters and marked '...'."""
-    shown = repr(text)
-    return shown if len(shown) <= 40 else shown[:40] + "..."
+    """Input text for an error message, cut to 40 characters and marked '...'."""
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def save_plane(plane: ProjectivePlane, destination) -> None:
@@ -376,13 +380,13 @@ def load_plane(source) -> ProjectivePlane:
     if len(lines) < 2:
         raise ValueError("plane file is missing its header")
     if lines[0] != PLANE_HEADER:
-        raise ValueError(f"bad header: expected {PLANE_HEADER!r}, got {_echo(lines[0])}")
+        raise ValueError(f"bad header: expected {PLANE_HEADER!r}, got {_echo(repr(lines[0]))}")
     if not lines[1].startswith("q="):
         raise ValueError("second line must be q=<order>")
     try:
         q = int(lines[1][2:])
     except ValueError:
-        raise ValueError(f"bad order line {_echo(lines[1])}") from None
+        raise ValueError(f"bad order line {_echo(repr(lines[1]))}") from None
     if q < 2:
         raise ValueError(f"order must be >= 2, got {q}")
     n = q * q + q + 1
@@ -453,7 +457,8 @@ def load_point_set(source) -> set[int]:
         try:
             v = int(body)
         except ValueError:
-            raise ValueError(f"line {ln}: expected a point index, got {_echo(body)}") from None
+            raise ValueError(f"line {ln}: expected a point index, "
+                             f"got {_echo(repr(body))}") from None
         if values and v <= values[-1]:
             raise ValueError(f"line {ln}: indices must be strictly ascending")
         values.append(v)

@@ -203,14 +203,16 @@ class SaturationState:
             out = np.zeros(n, dtype=np.int64)
         else:
             self._joins.extend(join_rows(self.plane, self.chosen[len(self._joins):]))
-            # int32 sums are exact: no point scores more than n < 2**31
+            # int32 sums are exact: no point scores more than n < 2**31.
+            # Join rows hold proven line indices, so "clip" never changes a
+            # value; it lets take write into `term` without a hidden buffer.
             weights = self.unsat_on_line.astype(np.int32)
-            total = np.take(weights, self._joins[0])
+            total = np.take(weights, self._joins[0], mode="clip")
             term = np.empty_like(total)
             for row in self._joins[1:]:
-                total += np.take(weights, row, out=term)
+                total += np.take(weights, row, out=term, mode="clip")
+            total -= self.in_unsat * np.int32(self.size - 1)
             out = total.astype(np.int64)
-            out[self.in_unsat] += 1 - self.size
         out[self.in_chosen] = -1
         return out
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +84,7 @@ GREEDY_JSON_SHA256 = {
     (128, "skew"): "957022d980384a9b6f1fdc6205932abbe0feff759868062ea3bb06308067e3b6",
     (128, "global"): "0ccbd2bfcd355685f07d9dee11ed8091ae1e2321d1e6c5b8765ea747c7d11c0c",
     (256, "skew"): "03e0c1ac09d9268eac1ff599fabdbd5fc118f3a0267f6651dd9a89a3d131dffa",
+    (256, "global"): "06a4f6361422b0e5854bcbc94700b7900a2aca5bf8159c51e39904cddd57b4c4",
 }
 
 
@@ -383,9 +385,20 @@ def test_plane_gen_and_check(capsys, tmp_path):
     code, out = run(capsys, ["plane", "check", "--file", str(path)])
     assert code == 1
     assert out == "axiom failure: ascending: line 0 is not strictly ascending\n"
-    # unparseable file exits 2
-    path.write_text("garbage\n")
-    assert run_error(capsys, ["plane", "check", "--file", str(path)]) == 2
+    # a file it cannot read or parse exits 2, named as --plane names it
+    for text, message in (("garbage\n", "plane file is missing its header"),
+                          ("PLANE v1\nq=three\n", "bad order line 'q=three'"),
+                          (None, "No such file or directory")):
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["plane", "check", "--file", str(path)])
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("satset: error: cannot load plane file: ")
+        assert message in error
 
 
 # name: (file text, the command that reads it)
@@ -407,6 +420,33 @@ def test_long_input_lines_are_cut_in_the_error(capsys, tmp_path, name):
     usage, *errors = capsys.readouterr().err.splitlines()
     assert usage.startswith("usage: ") and len(errors) == 1
     assert errors[0].startswith("satset: error: ") and errors[0].endswith("...")
+    assert len(errors[0].encode()) <= 200
+
+
+# the order is the last argument; 5,000 digits are more than int()
+# converts, and a 3,002-digit order's table size has more than str() writes
+LONG_ORDERS = {
+    "1,002 digits": ["construct", "--method", "greedy", "--q", "9" * 1002],
+    "3,002 digits": ["construct", "--method", "greedy", "--q", "9" * 3002],
+    "5,000 digits": ["construct", "--method", "greedy", "--q", "9" * 5000],
+    "q-list entry": ["bounds", "--q-list", "3," + "x" * 50_000],
+    "order line": ["plane", "check", "--file", "9" * 3002],   # written to the file
+}
+
+
+@pytest.mark.parametrize("name", LONG_ORDERS)
+def test_long_orders_are_cut_in_the_error(capsys, tmp_path, name):
+    argv = list(LONG_ORDERS[name])
+    order = argv[-1].split(",")[-1]
+    if argv[0] == "plane":
+        argv[-1] = str(tmp_path / "plane.txt")
+        Path(argv[-1]).write_text(f"PLANE v1\nq={order}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    usage, *errors = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: ") and len(errors) == 1
+    assert errors[0].startswith("satset: error: ") and order[:40] + "..." in errors[0]
     assert len(errors[0].encode()) <= 200
 
 

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import skew_lines
+from oracles import relabelled_plane, skew_lines
 from satset import plane
 from satset.cli import main
 from satset.gf import factor_prime_power, field_for_order
 from satset.plane import (PlaneAxiomError, ProjectivePlane, ValidationReport,
-                          _row_counts, build_pg2,
+                          _row_counts, build_pg2, join_rows,
                           canonical_plane, load_plane, load_point_set,
                           point_triple, save_plane, save_point_set,
                           triple_index, validate_axioms)
@@ -32,6 +32,23 @@ FANO_LINES = [
 def test_fano_incidence_frozen():
     pl = canonical_plane(2)
     assert [pl.line_points[j].tolist() for j in range(7)] == FANO_LINES
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, "relabelled 4", "relabelled 16"])
+def test_join_rows_match_line_through(tmp_path, q):
+    # every entry is a line index of the plane, which is what lets
+    # benefit_vector gather with mode="clip" without changing a value
+    if isinstance(q, str):
+        pl, _ = relabelled_plane(int(q.split()[1]), tmp_path)
+    else:
+        pl = canonical_plane(q)
+    joins = join_rows(pl, list(range(pl.n)))
+    assert joins.dtype == np.int32 and joins.shape == (pl.n, pl.n)
+    for s in range(pl.n):
+        for x in range(pl.n):
+            if x != s:
+                assert joins[s, x] == pl.line_through(s, x)
+        assert s in pl.line_points[joins[s, s]]
 
 
 def test_triple_round_trip():
