@@ -20,6 +20,7 @@ every construction in this package reproducible.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -79,11 +80,10 @@ class ProjectivePlane:
         out-of-range values get named; the plane keeps its own frozen
         int32 copy and never makes read-only an array its caller holds.
         """
-        failure, point_lines = _check_axioms(line_points, q)
+        failure, table, point_lines = _check_axioms(line_points, q)
         if failure is not None:
             raise PlaneAxiomError("invalid plane: " + failure)
-        self._adopt(q, np.array(line_points, dtype=np.int32, order="C"), point_lines,
-                    origin, None)
+        self._adopt(q, np.array(table, dtype=np.int32, order="C"), point_lines, origin, None)
 
     @classmethod
     def _trusted(cls, q: int, line_points: np.ndarray, point_lines: np.ndarray,
@@ -218,35 +218,61 @@ def validate_axioms(rows, q: int | None = None) -> ValidationReport:
     """Check the projective-plane axioms, reporting the first failure found.
 
     Accepts a ProjectivePlane, or with ``q`` a 2-D integer array of line
-    rows or a list of rows, ragged ones included.  Arrays are checked as
-    they are, with no conversion to lists.  The checks run in a fixed
-    order and the first failure is the one reported: the line count; then
-    the first row with the wrong size, an index outside [0, n) or entries
-    not strictly ascending (in that order within a row); the point
-    degrees; and, point by point, every unordered pair lying on exactly
-    one common line.  Together with the line-size and point-degree counts
-    the last forces the dual axiom (two lines meet in exactly one point)
-    by double counting, so it is not checked separately.
+    rows or a list of rows, ragged ones included.  Integer arrays are
+    checked as they are, with no conversion to lists; an integral float is
+    taken as the integer it equals.  The checks run in a fixed order and
+    the first failure is the one reported: the line count; then the first
+    row with the wrong size, an entry that is not a whole number (a bool, a
+    str, a fractional float), an index outside [0, n) or entries not
+    strictly ascending (in that order within a row); the point degrees;
+    and, point by point, every unordered pair lying on exactly one common
+    line.  Together with the line-size and point-degree counts the last
+    forces the dual axiom (two lines meet in exactly one point) by double
+    counting, so it is not checked separately.
+
+    The pair check is a cover check.  Once the earlier checks pass, the
+    q+1 lines through p hold (q+1)q = n-1 slots besides p, one for each
+    other point, so their union is every point exactly when every pair
+    (p, x) has exactly one common line.  Up to `_BIT_CHECK_POINTS` points
+    the lines are packed into n-bit rows and ORed per point.  A pair needs
+    checking from one side only, so points p in [s, s+16) OR only the
+    words from s >> 6 onward.  The first point the count fails, p*, misses
+    some x0 > p* (an x0 < p* would fail first), so the first 16-point
+    block the bits refuse holds p*, and the per-point count, run from that
+    block's start, names the same pair.  Larger planes take the count
+    alone.
     """
     if isinstance(rows, ProjectivePlane):
         q = rows.q
         rows = rows.line_points
     if q is None:
         raise ValueError("q is required when validating raw rows")
-    failure, _ = _check_axioms(rows, q)
+    failure, _, _ = _check_axioms(rows, q)
     return ValidationReport(failure is None, [] if failure is None else [failure])
 
 
-def _check_axioms(rows, q: int) -> tuple[str | None, np.ndarray | None]:
-    """`validate_axioms`' first failure, or None and the inverted table."""
+# Most points a plane may have for its pair check to use packed bit rows:
+# the n x n bit table is then at most 8 MiB (q <= 89).
+_BIT_CHECK_POINTS = 1 << 13
+
+
+def _check_axioms(rows, q: int) -> tuple[str | None, np.ndarray | None, np.ndarray | None]:
+    """`validate_axioms`' first failure, or None, the checked table and its inverse."""
     n = q * q + q + 1
     if len(rows) != n:
-        return f"line count: expected {n} lines, got {len(rows)}", None
+        return f"line count: expected {n} lines, got {len(rows)}", None, None
+    if isinstance(rows, np.ndarray) and rows.dtype.kind not in "iu":
+        rows = rows.tolist()        # float, bool, str and object entries, one by one
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
         sized = n if rows.shape[1] == q + 1 else 0
         table = rows[:sized] if rows.dtype.kind == "i" else rows[:sized].astype(np.int64)
     else:
-        sized = next((j for j, row in enumerate(rows) if len(row) != q + 1), n)
+        # the first row of the wrong size or with a non-integer entry ends the
+        # table; rows are scanned entry by entry only if some entry is no int
+        ints = all(issubclass(t, (int, np.integer)) and t is not bool
+                   for t in set(map(type, itertools.chain.from_iterable(rows))))
+        sized = next((j for j, row in enumerate(rows) if len(row) != q + 1
+                      or not (ints or all(map(_is_integer, row)))), n)
         try:
             table = np.array(rows[:sized], dtype=np.int64).reshape(sized, q + 1)
         except OverflowError:
@@ -258,25 +284,62 @@ def _check_axioms(rows, q: int) -> tuple[str | None, np.ndarray | None]:
     if bad.size:
         j = int(bad[0])
         if bad_range[j]:
-            return f"point index: line {j} has an index outside [0, {n})", None
-        return f"ascending: line {j} is not strictly ascending", None
+            return f"point index: line {j} has an index outside [0, {n})", None, None
+        return f"ascending: line {j} is not strictly ascending", None, None
     if sized < n:
-        return f"line size: line {sized} has {len(rows[sized])} points, expected {q + 1}", None
+        if len(rows[sized]) == q + 1:
+            return f"point index: line {sized} has a non-integer entry", None, None
+        return (f"line size: line {sized} has {len(rows[sized])} points, "
+                f"expected {q + 1}"), None, None
     degrees = np.bincount(table.ravel(), minlength=n)
     if np.any(degrees != q + 1):
         bad = int(np.flatnonzero(degrees != q + 1)[0])
         return (f"point degree: point {bad} lies on {int(degrees[bad])} lines, "
-                f"expected {q + 1}"), None
+                f"expected {q + 1}"), None, None
     point_lines = ProjectivePlane._invert(table, n, q)
-    for p in range(n):
+    start = _first_uncovered_block(table, point_lines, n) if n <= _BIT_CHECK_POINTS else 0
+    for p in range(start, n):
         counts = np.bincount(table[point_lines[p]].ravel(), minlength=n)
         counts[p] = 1
         # the (q+1)^2 entries sum to n here, so some count is not 1 iff one is 0
         if np.count_nonzero(counts) < n:
             other = int(np.flatnonzero(counts != 1)[0])
             word = "no common line" if counts[other] == 0 else "more than one common line"
-            return f"unique meet: points {p} and {other} have {word}", None
-    return None, point_lines
+            return f"unique meet: points {p} and {other} have {word}", None, None
+    return None, table, point_lines
+
+
+def _is_integer(value) -> bool:
+    """Whether a row entry is a whole number: an int or an integral float, not a bool."""
+    if isinstance(value, (float, np.floating)):
+        return value.is_integer()
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _first_uncovered_block(table: np.ndarray, point_lines: np.ndarray, n: int) -> int:
+    """Start of the first 16-point block the packed cover check refuses, or n.
+
+    Line j becomes an n-bit row, packed in blocks of 256 lines, with bit x
+    set when x is on it; the padding bits past n (n is odd, so the last
+    word has some) are set in every row.  Points p in [s, s+16) OR their
+    lines' rows from word s >> 6 on, and the block passes when every bit
+    is set.  A point that misses a point x < p in that word makes x miss
+    p as well, and x's block, no later than p's, is refused first.
+    """
+    words = -(-n // 64)
+    bits = np.zeros((n, words), dtype="<u8")
+    bits[:, -1] = ~np.uint64(0) << np.uint64(n % 64)
+    as_bytes = bits.view(np.uint8)
+    for s in range(0, n, 256):
+        lines = table[s:s + 256]
+        on = np.zeros((len(lines), n), dtype=bool)
+        on[np.arange(len(lines))[:, None], lines] = True
+        as_bytes[s:s + 256, :-(-n // 8)] |= np.packbits(on, axis=1, bitorder="little")
+    for s in range(0, n, 16):
+        cover = np.bitwise_or.reduce(bits[:, s >> 6:][point_lines[s:s + 16]], axis=1)
+        if (~cover).any():
+            return s
+    return n
 
 
 def _row_counts(table: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
@@ -396,7 +459,7 @@ def load_plane(source) -> ProjectivePlane:
     table = _parse_rows(text[len(lines[0]) + len(lines[1]) + 2:], data)
     if table is None or len(table) != n:
         _raise_first_row_failure(data, q)
-    failure, point_lines = _check_axioms(table, q)
+    failure, _, point_lines = _check_axioms(table, q)
     if failure is not None:
         raise PlaneAxiomError("axiom failure: " + failure)
     return ProjectivePlane._trusted(q, table, point_lines, "loaded-file")

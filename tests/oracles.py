@@ -1,5 +1,5 @@
 """Test-side helpers: one greedy step, set views of a state, skew lines,
-and relabelled planes.
+relabelled planes and the per-row, per-point plane validator.
 
 No command or construction needs these, so they live beside the tests,
 where each serves as an independent view of the library's state.
@@ -7,8 +7,8 @@ where each serves as an independent view of the library's state.
 
 import numpy as np
 
-from satset.plane import (ProjectivePlane, _point_indices, canonical_plane, line_hits,
-                          load_plane, save_plane)
+from satset.plane import (ProjectivePlane, ValidationReport, _point_indices,
+                          canonical_plane, line_hits, load_plane, save_plane)
 from satset.saturation import _apply, _select, unsaturated
 
 
@@ -55,3 +55,68 @@ def relabelled_plane(q, directory):
     loaded = load_plane(path)
     assert not np.array_equal(loaded.point_lines, loaded.line_points)
     return loaded, relabel
+
+
+def reference_invert(line_points, n, q):
+    """The lines through each point, from a stable argsort of the entries."""
+    flat = line_points.ravel()
+    line_idx = np.repeat(np.arange(n, dtype=np.int32), q + 1)
+    order = np.argsort(flat, kind="stable")
+    grouped = flat[order].reshape(n, q + 1)
+    if not np.array_equal(grouped[:, 0], np.arange(n)) or np.any(grouped[:, 0:1] != grouped):
+        raise ValueError("some point is not on exactly q+1 lines")
+    return np.ascontiguousarray(line_idx[order].reshape(n, q + 1))
+
+
+def _whole(v):
+    if type(v) is int:
+        return True
+    if isinstance(v, (bool, np.bool_)):
+        return False
+    try:
+        return v == int(v)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def reference_validate_axioms(rows, q):
+    """`validate_axioms` row by row over lists, then point by point.
+
+    Each point p counts how often every point occurs on its q+1 lines;
+    p passes when every other point occurs exactly once.
+    """
+    n = q * q + q + 1
+    failures = []
+    if len(rows) != n:
+        failures.append(f"line count: expected {n} lines, got {len(rows)}")
+        return ValidationReport(False, failures)
+    for j, row in enumerate(rows):
+        if len(row) != q + 1:
+            failures.append(f"line size: line {j} has {len(row)} points, expected {q + 1}")
+            return ValidationReport(False, failures)
+        if not all(map(_whole, row)):
+            failures.append(f"point index: line {j} has a non-integer entry")
+            return ValidationReport(False, failures)
+        if any(not 0 <= v < n for v in row):
+            failures.append(f"point index: line {j} has an index outside [0, {n})")
+            return ValidationReport(False, failures)
+        if any(row[i] >= row[i + 1] for i in range(q)):
+            failures.append(f"ascending: line {j} is not strictly ascending")
+            return ValidationReport(False, failures)
+    arr = np.asarray(rows, dtype=np.int32)
+    degrees = np.bincount(arr.ravel(), minlength=n)
+    if np.any(degrees != q + 1):
+        bad = int(np.flatnonzero(degrees != q + 1)[0])
+        failures.append(f"point degree: point {bad} lies on {int(degrees[bad])} lines, "
+                        f"expected {q + 1}")
+        return ValidationReport(False, failures)
+    point_lines = reference_invert(arr, n, q)
+    for p in range(n):
+        counts = np.bincount(arr[point_lines[p]].ravel(), minlength=n)
+        counts[p] = 1
+        if np.any(counts != 1):
+            other = int(np.flatnonzero(counts != 1)[0])
+            word = "no common line" if counts[other] == 0 else "more than one common line"
+            failures.append(f"unique meet: points {p} and {other} have {word}")
+            return ValidationReport(False, failures)
+    return ValidationReport(True, failures)

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import relabelled_plane, skew_lines
+from oracles import (reference_invert, reference_validate_axioms, relabelled_plane,
+                     skew_lines)
 from satset import plane
 from satset.cli import main
 from satset.gf import factor_prime_power, field_for_order
@@ -486,6 +487,13 @@ AXIOM_GOLDEN = {
     "repeated index": ({6: [3, 4, 4, 12]}, "ascending: line 6 is not strictly ascending"),
     "range beats ascending on a row": ({4: [6, 4, 2, 99]},
                                        "point index: line 4 has an index outside [0, 13)"),
+    "fractional entry": ({5: [1, 5, 6.5, 10]},
+                         "point index: line 5 has a non-integer entry"),
+    "non-integer beats range on a row": ({5: [1, 5.5, 6, 99]},
+                                         "point index: line 5 has a non-integer entry"),
+    "earlier range beats a non-integer entry": (
+        {2: [1, 4, 7, 99], 5: [1, 5, 6.5, 10]},
+        "point index: line 2 has an index outside [0, 13)"),
     "earlier row wins": ({2: [1, 7, 4, 9], 5: [1, 5, 6, 13]},
                          "ascending: line 2 is not strictly ascending"),
     "size beats a later range": ({1: [2, 5, 8, 9, 10], 7: [2, 3, 7, 99]},
@@ -525,8 +533,10 @@ LOAD_GOLDEN = {
                                      "line 2: leading or trailing whitespace"),
     "token beats earlier axiom failure": (_q3_file({1: [2, 5, 99, 9], 10: "0 5 7 -"}),
                                           "line 10: non-integer token"),
+    # a file holds integer tokens only, so only integer edits reach the axioms
     **{f"axiom: {name}": (_q3_file(edits), "axiom failure: " + failure)
-       for name, (edits, failure) in AXIOM_GOLDEN.items()},
+       for name, (edits, failure) in AXIOM_GOLDEN.items()
+       if all(isinstance(v, int) for row in edits.values() for v in row)},
 }
 
 
@@ -590,54 +600,8 @@ def test_load_plane_reads_crlf_signs_and_zero_padding(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# reference oracle: the per-row validator over lists of ints and the
-# stable-argsort inversion, as they were before the array path
+# the array validator against the per-row reference in tests/oracles.py
 # ---------------------------------------------------------------------------
-
-def _reference_invert(line_points, n, q):
-    flat = line_points.ravel()
-    line_idx = np.repeat(np.arange(n, dtype=np.int32), q + 1)
-    order = np.argsort(flat, kind="stable")
-    grouped = flat[order].reshape(n, q + 1)
-    if not np.array_equal(grouped[:, 0], np.arange(n)) or np.any(grouped[:, 0:1] != grouped):
-        raise ValueError("some point is not on exactly q+1 lines")
-    return np.ascontiguousarray(line_idx[order].reshape(n, q + 1))
-
-
-def _reference_validate_axioms(rows, q):
-    n = q * q + q + 1
-    failures = []
-    if len(rows) != n:
-        failures.append(f"line count: expected {n} lines, got {len(rows)}")
-        return ValidationReport(False, failures)
-    for j, row in enumerate(rows):
-        if len(row) != q + 1:
-            failures.append(f"line size: line {j} has {len(row)} points, expected {q + 1}")
-            return ValidationReport(False, failures)
-        if any(not 0 <= v < n for v in row):
-            failures.append(f"point index: line {j} has an index outside [0, {n})")
-            return ValidationReport(False, failures)
-        if any(row[i] >= row[i + 1] for i in range(q)):
-            failures.append(f"ascending: line {j} is not strictly ascending")
-            return ValidationReport(False, failures)
-    arr = np.asarray(rows, dtype=np.int32)
-    degrees = np.bincount(arr.ravel(), minlength=n)
-    if np.any(degrees != q + 1):
-        bad = int(np.flatnonzero(degrees != q + 1)[0])
-        failures.append(f"point degree: point {bad} lies on {int(degrees[bad])} lines, "
-                        f"expected {q + 1}")
-        return ValidationReport(False, failures)
-    point_lines = _reference_invert(arr, n, q)
-    for p in range(n):
-        counts = np.bincount(arr[point_lines[p]].ravel(), minlength=n)
-        counts[p] = 1
-        if np.any(counts != 1):
-            other = int(np.flatnonzero(counts != 1)[0])
-            word = "no common line" if counts[other] == 0 else "more than one common line"
-            failures.append(f"unique meet: points {p} and {other} have {word}")
-            return ValidationReport(False, failures)
-    return ValidationReport(True, failures)
-
 
 def _relabelled_rows(q, rng):
     pl = canonical_plane(q)
@@ -685,7 +649,7 @@ def test_validate_axioms_matches_the_reference_on_mutated_planes():
     kinds = set()
     for q in (3, 4, 7, 9):
         for rows in _mutants(q, seed=q):
-            expect = _reference_validate_axioms(rows, q)
+            expect = reference_validate_axioms(rows, q)
             assert validate_axioms(rows, q) == expect
             if len({len(r) for r in rows}) == 1:
                 assert validate_axioms(np.array(rows), q) == expect
@@ -695,19 +659,93 @@ def test_validate_axioms_matches_the_reference_on_mutated_planes():
                      "unique meet"}
 
 
+def test_non_integer_entries_are_refused_not_truncated():
+    rows = canonical_plane(2).line_points
+    line0 = ValidationReport(False, ["point index: line 0 has a non-integer entry"])
+    bool_row = rows.tolist()
+    bool_row[3][0] = True
+    for bad, report in ((rows + 0.4, line0), ((rows + 0.4).tolist(), line0),
+                        ([[str(v) for v in row] for row in rows.tolist()], line0),
+                        (rows.astype(bool), line0), (rows.astype(str), line0),
+                        (bool_row, ValidationReport(False, [
+                            "point index: line 3 has a non-integer entry"]))):
+        assert validate_axioms(bad, 2) == report
+        if isinstance(bad, list):
+            assert reference_validate_axioms(bad, 2) == report
+        with pytest.raises(PlaneAxiomError) as info:
+            ProjectivePlane(2, bad, origin="x")
+        assert str(info.value) == "invalid plane: " + report.failures[0]
+    # integral floats are whole numbers; the plane adopts the checked int32 table
+    pl = ProjectivePlane(2, rows.astype(np.float32).tolist(), origin="x")
+    assert pl.line_points.dtype == np.int32 and pl == canonical_plane(2)
+
+
+def _swapped_rows(q, rng, low=None):
+    """Relabelled PG(2,q) rows with one point swapped between two lines.
+
+    Line j gives up x for y and line k y for x, so row sizes, degrees and
+    (after re-sorting) ascending order hold.  Every point of the two lines
+    but their meet then fails the pair check: 2q points.  With `low` they
+    are relabelled onto [low, low + 2q), so low is the first failing point.
+    """
+    rows = canonical_plane(q).line_points.copy()
+    n = len(rows)
+    j, k = rng.choice(n, 2, replace=False)
+    x = rng.choice(np.setdiff1d(rows[j], rows[k]))
+    y = rng.choice(np.setdiff1d(rows[k], rows[j]))
+    rows[j, rows[j] == x], rows[k, rows[k] == y] = y, x
+    failing = np.setxor1d(rows[j], rows[k])
+    assert len(failing) == 2 * q
+    if low is None:
+        order = rng.permutation(n)
+    else:
+        rest = rng.permutation(np.setdiff1d(np.arange(n), failing))
+        order = np.concatenate([rest[:low], rng.permutation(failing), rest[low:]])
+    relabel = np.empty(n, dtype=np.int64)
+    relabel[order] = np.arange(n)
+    return np.sort(relabel[rows], axis=1)[rng.permutation(n)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 32, 64])
+def test_bit_cover_check_matches_the_count_oracle(q, monkeypatch):
+    n = q * q + q + 1
+    rng = np.random.default_rng(1000 + q)
+    latest = n - 2 * q
+    placed = [0, min(n // 32 * 16 + 3, latest), latest]
+    if q in (2, 3, 5):
+        assert latest // 16 == (n - 1) // 16      # the last block is reachable
+    planes = [(_relabelled_rows(q, rng), None)]
+    planes += [(_swapped_rows(q, rng), None) for _ in range(3)]
+    planes += [(_swapped_rows(q, rng, low), low) for low in placed]
+    for rows, low in planes:
+        expect = reference_validate_axioms(rows.tolist(), q)
+        assert validate_axioms(rows, q) == expect
+        point_lines = ProjectivePlane._invert(rows, n, q)
+        if expect.ok:
+            assert plane._first_uncovered_block(rows, point_lines, n) == n
+            continue
+        first = int(expect.failures[0].split()[3])
+        assert low is None or first == low
+        # the bits refuse the block of the count loop's first failing point
+        assert plane._first_uncovered_block(rows, point_lines, n) == first // 16 * 16
+        with monkeypatch.context() as m:
+            m.setattr(plane, "_BIT_CHECK_POINTS", 0)       # the count loop alone
+            assert validate_axioms(rows, q) == expect
+
+
 def test_invert_matches_a_stable_argsort(tmp_path):
     for q in (3, 4, 7, 9):
         rows = _relabelled_rows(q, np.random.default_rng(q)).astype(np.int32)
         n = rows.shape[0]
         assert np.array_equal(ProjectivePlane._invert(rows, n, q),
-                              _reference_invert(rows, n, q))
+                              reference_invert(rows, n, q))
         path = tmp_path / f"p{q}.txt"
         save_plane(ProjectivePlane(q, rows, origin="relabelled"), path)
         loaded = load_plane(path)
-        assert np.array_equal(loaded.point_lines, _reference_invert(rows, n, q))
+        assert np.array_equal(loaded.point_lines, reference_invert(rows, n, q))
         save_plane(canonical_plane(q), path)
         canon = canonical_plane(q).line_points
-        assert np.array_equal(load_plane(path).point_lines, _reference_invert(canon, n, q))
+        assert np.array_equal(load_plane(path).point_lines, reference_invert(canon, n, q))
 
 
 @pytest.mark.parametrize("row", ["9 10 11 1_2", "9 10 11 \u0661\u0662", "9 10\t 11 12"])
