@@ -25,12 +25,11 @@ class BaerEmbedding:
     order: int                                  # s = sqrt(q)
     subfield: tuple[int, ...]                   # field indices of GF(s)
     subplane_points: tuple[int, ...]            # ascending big-plane indices
-    subplane_line_indices: tuple[int, ...]      # big-plane line index per subline
-    subplane_lines: tuple[tuple[int, ...], ...]  # the s+1 subplane points per subline
+    subplane_lines: tuple[tuple[int, ...], ...]  # subline k lies on line subplane_points[k]
 
     def subline(self, line_index: int) -> tuple[int, ...]:
         """Subplane restriction of a big-plane line that extends a subplane line."""
-        pos = self.subplane_line_indices.index(line_index)
+        pos = self.subplane_points.index(line_index)
         return self.subplane_lines[pos]
 
 
@@ -52,7 +51,6 @@ def baer_subplane(plane: ProjectivePlane) -> BaerEmbedding:
 
     sub_mask = np.zeros(plane.n, dtype=bool)
     sub_mask[points] = True
-    line_indices = []
     lines = []
     for dual in points:  # duals of subplane lines use the same encoding
         row = plane.line_points[dual]
@@ -60,19 +58,17 @@ def baer_subplane(plane: ProjectivePlane) -> BaerEmbedding:
         if restriction.size != s + 1:
             raise AssertionError(f"line {dual} meets the subplane in "
                                  f"{restriction.size} points, expected {s + 1}")
-        line_indices.append(dual)
         lines.append(tuple(int(v) for v in restriction))
 
     # Baer property: every remaining line is a 1-secant of the subplane
     meets = line_hits(plane, np.array(points))
     secant = np.flatnonzero(meets == s + 1)
     if not (np.all((meets == 1) | (meets == s + 1))
-            and np.array_equal(secant, np.array(sorted(line_indices)))):
+            and np.array_equal(secant, points)):
         raise AssertionError("subfield point set is not a Baer subplane")
 
     return BaerEmbedding(plane=plane, order=s, subfield=tuple(sub),
                          subplane_points=tuple(points),
-                         subplane_line_indices=tuple(line_indices),
                          subplane_lines=tuple(lines))
 
 

@@ -193,10 +193,9 @@ def cmd_verify(args, parser) -> int:
     pl = _resolve_plane(args, parser)
     try:
         points = load_point_set(args.points)
-        plane_mod._point_indices(pl, sorted(points))   # names the smallest bad index
+        missing = sorted(saturation.unsaturated(pl, sorted(points)))  # names the lowest bad index
     except (OSError, ValueError) as exc:
         parser.error(f"cannot load point set: {exc}")
-    missing = sorted(saturation.unsaturated(pl, points))
     if not missing and len(points) >= 2:
         print(f"saturating: size={len(points)} q={pl.q}")
         return 0

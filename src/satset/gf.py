@@ -89,20 +89,13 @@ def _poly_rem(a, m, p):
     return a[:dm]
 
 
-def _trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
 def _is_irreducible(m, p: int) -> bool:
     """Exhaustive trial division by all monic polynomials of degree <= deg/2."""
     deg = len(m) - 1
     for d in range(1, deg // 2 + 1):
         for enc in range(p**d):
             div = _digits(enc, p, d) + [1]
-            if not _trim(_poly_rem(m, div, p)):
+            if not any(_poly_rem(m, div, p)):
                 return False
     return True
 

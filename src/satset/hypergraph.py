@@ -46,7 +46,6 @@ class SetFamily:
                 raise ValueError(f"edge {k} has a vertex outside [0, {ground_size})")
             incidence[k, list(edge)] = True
         self._adopt(incidence, labels)
-        self.__dict__["edges"] = edges      # fills the cached property below
 
     @classmethod
     def _from_incidence(cls, incidence: np.ndarray, labels=None) -> SetFamily:

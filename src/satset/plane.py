@@ -129,25 +129,20 @@ class ProjectivePlane:
 
     def line_through(self, p: int, r: int) -> int:
         """Index of the unique line containing two distinct points."""
-        for v in (p, r):
-            if not 0 <= v < self.n:
-                raise ValueError(f"point index {v} outside [0, {self.n})")
-        if p == r:
-            raise ValueError("line_through needs two distinct points")
-        common = np.intersect1d(self.point_lines[p], self.point_lines[r],
-                                assume_unique=True)
-        return int(common[0])
+        return self._common(self.point_lines, p, r, "point", "line_through")
 
     def meet(self, l1: int, l2: int) -> int:
         """The unique common point of two distinct lines."""
-        for v in (l1, l2):
+        return self._common(self.line_points, l1, l2, "line", "meet")
+
+    def _common(self, table: np.ndarray, a: int, b: int, kind: str, name: str) -> int:
+        """The one entry rows a and b of `table` share, for `line_through` and `meet`."""
+        for v in (a, b):
             if not 0 <= v < self.n:
-                raise ValueError(f"line index {v} outside [0, {self.n})")
-        if l1 == l2:
-            raise ValueError("meet needs two distinct lines")
-        common = np.intersect1d(self.line_points[l1], self.line_points[l2],
-                                assume_unique=True)
-        return int(common[0])
+                raise ValueError(f"{kind} index {v} outside [0, {self.n})")
+        if a == b:
+            raise ValueError(f"{name} needs two distinct {kind}s")
+        return int(np.intersect1d(table[a], table[b], assume_unique=True)[0])
 
 
 def check_table_bytes(q: int) -> None:
@@ -214,15 +209,15 @@ def canonical_plane(q: int) -> ProjectivePlane:
     return build_pg2(field_for_order(q))
 
 
-def validate_axioms(rows, q: int | None = None) -> ValidationReport:
+def validate_axioms(rows, q: int) -> ValidationReport:
     """Check the projective-plane axioms, reporting the first failure found.
 
-    Accepts a ProjectivePlane, or with ``q`` a 2-D integer array of line
-    rows or a list of rows, ragged ones included.  Integer arrays are
-    checked as they are, with no conversion to lists; an integral float is
-    taken as the integer it equals.  The checks run in a fixed order and
-    the first failure is the one reported: the line count; then the first
-    row with the wrong size, an entry that is not a whole number (a bool, a
+    Accepts a 2-D integer array of line rows or a list of rows, ragged
+    ones included.  Integer arrays are checked as they are, with no
+    conversion to lists; an integral float is taken as the integer it
+    equals.  The checks run in a fixed order and the first failure is the
+    one reported: the line count; then the first row that is no sequence
+    or has the wrong size, an entry that is not a whole number (a bool, a
     str, a fractional float), an index outside [0, n) or entries not
     strictly ascending (in that order within a row); the point degrees;
     and, point by point, every unordered pair lying on exactly one common
@@ -242,11 +237,6 @@ def validate_axioms(rows, q: int | None = None) -> ValidationReport:
     block's start, names the same pair.  Larger planes take the count
     alone.
     """
-    if isinstance(rows, ProjectivePlane):
-        q = rows.q
-        rows = rows.line_points
-    if q is None:
-        raise ValueError("q is required when validating raw rows")
     failure, _, _ = _check_axioms(rows, q)
     return ValidationReport(failure is None, [] if failure is None else [failure])
 
@@ -267,12 +257,13 @@ def _check_axioms(rows, q: int) -> tuple[str | None, np.ndarray | None, np.ndarr
         sized = n if rows.shape[1] == q + 1 else 0
         table = rows[:sized] if rows.dtype.kind == "i" else rows[:sized].astype(np.int64)
     else:
-        # the first row of the wrong size or with a non-integer entry ends the
-        # table; rows are scanned entry by entry only if some entry is no int
+        # the first row that is no sequence, has the wrong size or a non-integer
+        # entry ends the table; entries are checked one by one only if some is no int
         ints = all(issubclass(t, (int, np.integer)) and t is not bool
-                   for t in set(map(type, itertools.chain.from_iterable(rows))))
-        sized = next((j for j, row in enumerate(rows) if len(row) != q + 1
-                      or not (ints or all(map(_is_integer, row)))), n)
+                   for t in set(map(type, itertools.chain.from_iterable(
+                       row for row in rows if hasattr(row, "__len__")))))
+        sized = next((j for j, row in enumerate(rows) if not hasattr(row, "__len__")
+                      or len(row) != q + 1 or not (ints or all(map(_is_integer, row)))), n)
         try:
             table = np.array(rows[:sized], dtype=np.int64).reshape(sized, q + 1)
         except OverflowError:
@@ -287,11 +278,14 @@ def _check_axioms(rows, q: int) -> tuple[str | None, np.ndarray | None, np.ndarr
             return f"point index: line {j} has an index outside [0, {n})", None, None
         return f"ascending: line {j} is not strictly ascending", None, None
     if sized < n:
+        if not hasattr(rows[sized], "__len__"):
+            return (f"line size: line {sized} is not a sequence of points, "
+                    f"expected {q + 1}"), None, None
         if len(rows[sized]) == q + 1:
             return f"point index: line {sized} has a non-integer entry", None, None
         return (f"line size: line {sized} has {len(rows[sized])} points, "
                 f"expected {q + 1}"), None, None
-    degrees = np.bincount(table.ravel(), minlength=n)
+    degrees = _row_counts(table, None, n)
     if np.any(degrees != q + 1):
         bad = int(np.flatnonzero(degrees != q + 1)[0])
         return (f"point degree: point {bad} lies on {int(degrees[bad])} lines, "

@@ -169,12 +169,8 @@ class SaturationState:
         self._unsat_total -= removed
         return removed
 
-    def benefit(self, point: int) -> int:
-        """How many unsaturated points adding `point` would remove."""
-        return int(self.benefits([point])[0])
-
     def benefits(self, points) -> np.ndarray:
-        """`benefit` of each given unchosen point, from its own lines: O(k q)."""
+        """The benefit of each given unchosen point, from its own lines: O(k q)."""
         idx = _point_indices(self.plane, points)
         taken = idx[self.in_chosen[idx]]
         if taken.size:
@@ -247,8 +243,6 @@ STOP_RULES = ("benefit-floor", "step-cap", "exhaust")
 
 def _select(state: SaturationState, variant: str) -> StepRecord:
     """The step the variant would take next; `_apply` records the r_after it leaves."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if state.size < 2:
         raise ValueError("greedy steps need two seed points in place; "
                          "see greedy_construct for the startup")

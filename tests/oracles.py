@@ -91,6 +91,10 @@ def reference_validate_axioms(rows, q):
         failures.append(f"line count: expected {n} lines, got {len(rows)}")
         return ValidationReport(False, failures)
     for j, row in enumerate(rows):
+        if not hasattr(row, "__len__"):
+            failures.append(f"line size: line {j} is not a sequence of points, "
+                            f"expected {q + 1}")
+            return ValidationReport(False, failures)
         if len(row) != q + 1:
             failures.append(f"line size: line {j} has {len(row)} points, expected {q + 1}")
             return ValidationReport(False, failures)

@@ -248,7 +248,7 @@ def test_criterion_09_hypergraph_suite():
 def test_criterion_10_infrastructure(tmp_path):
     axioms_ok = True
     for q in prime_powers(2, 64):
-        if not ss.validate_axioms(ss.canonical_plane(q)).ok:
+        if not ss.validate_axioms(ss.canonical_plane(q).line_points, q).ok:
             axioms_ok = False
 
     plane = ss.canonical_plane(9)

@@ -44,7 +44,7 @@ def test_subplane_closed_under_joins():
     for _ in range(60):
         a, b = rng.choice(len(pts), size=2, replace=False)
         j = pl.line_through(pts[int(a)], pts[int(b)])
-        assert j in emb.subplane_line_indices
+        assert j in emb.subplane_points
 
 
 def test_rejects_non_square_and_loaded_planes(tmp_path):
@@ -64,7 +64,7 @@ def test_three_subline_construction(q, s):
     assert len(points) == 3 * s
     assert is_saturating(pl, points)
     # the three sublines are pairwise non-concurrent: corners are distinct
-    duals = emb.subplane_line_indices
+    duals = emb.subplane_points
     sub = [set(emb.subline(d)) for d in
            (0, q * q, q * q + q)]
     assert not (sub[0] & sub[1] & sub[2])
@@ -72,7 +72,7 @@ def test_three_subline_construction(q, s):
                tuple(sorted(sub[0] & sub[2]))[0],
                tuple(sorted(sub[1] & sub[2]))[0]}
     assert len(corners) == 3
-    assert duals  # embedding carries the secant list
+    assert duals  # the subplane points are its lines' duals
 
 
 def test_construction_deterministic():

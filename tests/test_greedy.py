@@ -33,7 +33,7 @@ def test_benefit_sum_identity_on_random_states(q):
         counts = {j: int(state.unsat_on_line[j]) for j in skew}
         l_star = min(skew, key=lambda j: (counts[j], j))
         cap = counts[l_star]
-        total = sum(state.benefit(p) for p in pl.line_points[l_star].tolist())
+        total = sum(state.benefits([p])[0] for p in pl.line_points[l_star].tolist())
         assert total == cap + size * (state.unsat_count - cap)
         # min-intersection lemma, exact integer form of min <= |R|/q
         assert cap * q <= state.unsat_count

@@ -91,9 +91,9 @@ def test_line_through_and_meet_fano():
     assert pl.line_points[pl.line_through(0, 4)].tolist() == [0, 2, 4]
     assert pl.line_points[pl.line_through(3, 0)].tolist() == [0, 3, 5]
     assert pl.meet(6, 4) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^line_through needs two distinct points$"):
         pl.line_through(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^meet needs two distinct lines$"):
         pl.meet(1, 1)
 
 
@@ -112,6 +112,16 @@ def test_line_through_symmetry_and_meet_duality():
         assert m == pl.meet(int(l2), int(l1))
         assert m in pl.line_points[l1]
         assert m in pl.line_points[l2]
+
+
+def test_line_through_and_meet_on_a_relabelled_plane(tmp_path):
+    # point_lines differs from line_points here, so a lookup in the wrong table shows
+    pl, _ = relabelled_plane(4, tmp_path)
+    for a in range(pl.n):
+        for b in range(a + 1, pl.n):
+            assert {a, b} <= set(pl.line_points[pl.line_through(a, b)].tolist())
+            common = set(pl.line_points[a].tolist()) & set(pl.line_points[b].tolist())
+            assert pl.meet(a, b) in common
 
 
 def test_meet_of_pencil_lines_is_the_point():
@@ -148,7 +158,7 @@ def test_skew_count_lower_bound_for_small_sets():
 
 
 def test_validate_axioms_pass_and_failures():
-    assert validate_axioms(canonical_plane(4)).ok
+    assert validate_axioms(canonical_plane(4).line_points, 4).ok
     rows = [list(r) for r in canonical_plane(2).line_points.tolist()]
     short = [r[:] for r in rows]
     short[3] = short[3][:2]
@@ -498,6 +508,12 @@ AXIOM_GOLDEN = {
                          "ascending: line 2 is not strictly ascending"),
     "size beats a later range": ({1: [2, 5, 8, 9, 10], 7: [2, 3, 7, 99]},
                                  "line size: line 1 has 5 points, expected 4"),
+    "no-sequence row": ({4: None}, "line size: line 4 is not a sequence of points, expected 4"),
+    "rows of ints": (dict(enumerate(range(1, 14))),
+                     "line size: line 0 is not a sequence of points, expected 4"),
+    "earlier range beats a no-sequence row": (
+        {2: [1, 4, 7, 99], 5: None},
+        "point index: line 2 has an index outside [0, 13)"),
     "point degree": ({0: [8, 10, 11, 12]}, "point degree: point 8 lies on 5 lines, expected 4"),
     "no common line": ({0: [2, 9, 11, 12], 1: [5, 8, 9, 10]},
                        "unique meet: points 2 and 5 have no common line"),
@@ -536,7 +552,8 @@ LOAD_GOLDEN = {
     # a file holds integer tokens only, so only integer edits reach the axioms
     **{f"axiom: {name}": (_q3_file(edits), "axiom failure: " + failure)
        for name, (edits, failure) in AXIOM_GOLDEN.items()
-       if all(isinstance(v, int) for row in edits.values() for v in row)},
+       if all(isinstance(row, list) and all(isinstance(v, int) for v in row)
+              for row in edits.values())},
 }
 
 
@@ -570,7 +587,9 @@ def test_validate_axioms_first_failure_messages(name):
     with pytest.raises(ValueError) as info:
         ProjectivePlane(3, rows, origin="test")
     assert str(info.value) == "invalid plane: " + failure
-    if len({len(r) for r in rows}) == 1 and max(map(max, rows)) < 2**31:
+    # an int per row makes a 1-D array, as np.arange(13) does
+    if (all(isinstance(r, int) for r in rows) or all(isinstance(r, list) for r in rows)
+            and len({len(r) for r in rows}) == 1 and max(map(max, rows)) < 2**31):
         table = np.array(rows)
         assert validate_axioms(table, 3) == ValidationReport(False, [failure])
         with pytest.raises(ValueError) as info:
@@ -583,6 +602,29 @@ def test_validate_axioms_line_count_message():
     expect = ValidationReport(False, ["line count: expected 13 lines, got 12"])
     assert validate_axioms(rows, 3) == expect
     assert validate_axioms(np.array(rows), 3) == expect
+
+
+def test_reference_names_rows_that_are_no_sequence():
+    for name in ("no-sequence row", "rows of ints", "earlier range beats a no-sequence row"):
+        edits, failure = AXIOM_GOLDEN[name]
+        assert reference_validate_axioms(_q3_rows(edits), 3) == ValidationReport(False, [failure])
+
+
+def test_degree_count_past_its_first_block(tmp_path):
+    # the count takes 65536 // 65 = 1008 rows per block at q = 64
+    q = 64
+    rows = _relabelled_rows(q, np.random.default_rng(64))
+    j = 3000
+    k = int(np.flatnonzero(np.diff(rows[j]) >= 2)[0])
+    rows[j, k] += 1                    # still ascending; two degrees change
+    expect = reference_validate_axioms(rows.tolist(), q)
+    assert expect.failures[0].startswith("point degree:")
+    assert validate_axioms(rows, q) == expect
+    path = tmp_path / "p.txt"
+    path.write_text(_q3_file(order=f"q={q}", rows=rows.tolist()))
+    with pytest.raises(PlaneAxiomError) as info:
+        load_plane(path)
+    assert str(info.value) == "axiom failure: " + expect.failures[0]
 
 
 def test_unvalidated_plane_still_checks_point_degrees():

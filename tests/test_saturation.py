@@ -102,16 +102,16 @@ def test_benefit_rejects_indices_outside_the_plane():
         state.add_point(p)
     for bad in (-1, pl.n, 100):
         with pytest.raises(ValueError, match="outside"):
-            state.benefit(bad)
+            state.benefits([bad])[0]
     # the kernel names the first bad point as the scalar does, chosen ones too
     for bad in (-1, pl.n, 100, 0, 4):
         messages = []
-        for call in (lambda: state.benefit(bad), lambda: state.benefits([2, bad, 3])):
+        for call in (lambda: state.benefits([bad])[0], lambda: state.benefits([2, bad, 3])):
             with pytest.raises(ValueError) as info:
                 call()
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-    assert state.benefit(6) == 3
+    assert state.benefits([6])[0] == 3
     assert state.benefits([]).size == 0
 
 
@@ -119,15 +119,15 @@ def test_benefit_examples():
     pl = canonical_plane(2)
     state = SaturationState(pl)
     for p in range(7):
-        assert state.benefit(p) == 0            # nothing determined yet
+        assert state.benefits([p])[0] == 0            # nothing determined yet
     for p in (0, 4, 6):
         state.add_point(p)
-    assert state.benefit(5) == 1
+    assert state.benefits([5])[0] == 1
     with pytest.raises(ValueError):
-        state.benefit(0)                        # already chosen
+        state.benefits([0])[0]                        # already chosen
     # any unsaturated candidate saturates at least itself
     for p in unsaturated_set(state):
-        assert state.benefit(p) >= 1
+        assert state.benefits([p])[0] >= 1
 
 
 def test_benefit_against_oracle():
@@ -141,7 +141,7 @@ def test_benefit_against_oracle():
                 state.add_point(p)
             others = [p for p in range(pl.n) if p not in set(pts)]
             for cand in others[:: max(1, len(others) // 15)]:
-                assert state.benefit(cand) == brute_benefit(pl, pts, cand)
+                assert state.benefits([cand])[0] == brute_benefit(pl, pts, cand)
 
 
 def test_benefit_vector_matches_scalar():
@@ -155,7 +155,7 @@ def test_benefit_vector_matches_scalar():
         if state.in_chosen[p]:
             assert vec[p] == -1
         else:
-            assert vec[p] == state.benefit(p)
+            assert vec[p] == state.benefits([p])[0]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
@@ -171,7 +171,7 @@ def test_benefits_kernel_matches_vector_oracle_and_scalar(q):
         vec = state.benefit_vector()
         assert np.array_equal(got, vec[free])
         for p, b in zip(free.tolist(), got.tolist()):
-            assert b == state.benefit(p) == brute_benefit(pl, chosen, p, unsat)
+            assert b == state.benefits([p])[0] == brute_benefit(pl, chosen, p, unsat)
         some = rng.permutation(free)[: free.size // 3]
         assert np.array_equal(state.benefits(some), vec[some])
 
@@ -184,7 +184,7 @@ def assert_vector_matches_oracle(state):
         if p in chosen:
             assert vec[p] == -1
         else:
-            assert vec[p] == state.benefit(p) == brute_benefit(pl, chosen, p, unsat), p
+            assert vec[p] == state.benefits([p])[0] == brute_benefit(pl, chosen, p, unsat), p
 
 
 def kernel_states(pl):
@@ -227,7 +227,7 @@ def test_benefit_vector_results_outlive_later_calls(q, variant):
         vec = state.benefit_vector()
         returned.append((vec, vec.copy()))
         for p in np.flatnonzero(~state.in_chosen)[::7].tolist():
-            assert vec[p] == state.benefit(p)
+            assert vec[p] == state.benefits([p])[0]
         greedy_step(state, variant)
     state.benefit_vector()
     assert len(returned) > 3
@@ -244,7 +244,7 @@ def test_benefit_equals_unsaturated_drop():
         cand = int(rng.integers(pl.n))
         if state.in_chosen[cand]:
             continue
-        predicted = state.benefit(cand)
+        predicted = state.benefits([cand])[0]
         before = state.unsat_count
         removed = state.add_point(cand)
         assert removed == predicted == before - state.unsat_count
@@ -362,7 +362,7 @@ def test_array_entry_points_reject_indices_beyond_int64(bad):
                  lambda: unsaturated(pl, [bad]),
                  lambda: unsaturated(pl, {1, bad}),
                  lambda: state.add_point(bad),
-                 lambda: state.benefit(bad)):
+                 lambda: state.benefits([bad])[0]):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == expected
