@@ -53,19 +53,28 @@ def _plane_order(value: str, parser, flag: str = "--q") -> int:
         q = int(value)
     except ValueError:
         parser.error(f"{plane_mod._echo(value)} is not a prime power")
+    if q < 2:       # factor_prime_power would echo it in full
+        parser.error(f"{plane_mod._echo(str(q))} is not a prime power")
     plane_mod.check_table_bytes(q)    # cheap, so before the trial division
     factor_prime_power(q)
     return q
 
 
+def _typed(kind):
+    """argparse type for `kind` (int or float) that cuts a bad value with `_echo`."""
+    def parse(value: str):
+        try:
+            return kind(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {plane_mod._echo(repr(value))}") from None
+    return parse
+
+
 def _seed(value: str) -> int:
     """argparse type for every --seed: a non-negative integer."""
-    try:
-        seed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    if (seed := _typed(int)(value)) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {plane_mod._echo(str(seed))}")
     return seed
 
 
@@ -77,17 +86,11 @@ def _resolve_plane(args, parser) -> ProjectivePlane:
     return _load_plane(args.plane, parser)
 
 
-def _load_plane(path: str, parser, *, raise_axiom_failure: bool = False) -> ProjectivePlane:
-    """load_plane, with a file it cannot read or accept refused as a usage error.
-
-    `plane check` reports a failed axiom itself, so it asks for that
-    `PlaneAxiomError` back instead.
-    """
+def _load_plane(path: str, parser) -> ProjectivePlane:
+    """load_plane, with a file it cannot read or accept refused as a usage error."""
     try:
         return load_plane(path)
     except (OSError, ValueError) as exc:
-        if raise_axiom_failure and isinstance(exc, plane_mod.PlaneAxiomError):
-            raise
         parser.error(f"cannot load plane file: {exc}")
 
 
@@ -116,7 +119,8 @@ def cmd_construct(args, parser) -> int:
     if args.cap is not None and args.stop_rule != "step-cap":
         parser.error("--cap only applies with --stop-rule step-cap")
     if args.cap is not None and args.cap < 2:
-        parser.error(f"--cap must be >= 2 (the starting pair is always in), got {args.cap}")
+        parser.error("--cap must be >= 2 (the starting pair is always in), "
+                     f"got {plane_mod._echo(str(args.cap))}")
     _check_destination(args.output, "output", parser)
     pl = _resolve_plane(args, parser)
 
@@ -295,15 +299,15 @@ def _parser() -> argparse.ArgumentParser:
                              help="greedy only (default skew)")
     p_construct.add_argument("--stop-rule", choices=list(saturation.STOP_RULES),
                              help="greedy only (default benefit-floor)")
-    p_construct.add_argument("--cap", type=int, help="step cap for --stop-rule step-cap")
+    p_construct.add_argument("--cap", type=_typed(int), help="step cap for --stop-rule step-cap")
     p_construct.add_argument("--seed", type=_seed, help="seed (required for random)")
-    p_construct.add_argument("--p", type=float, help="sampling probability override")
+    p_construct.add_argument("--p", type=_typed(float), help="sampling probability override")
     p_construct.add_argument("--output", help="write the JSON document here")
 
     p_bounds = sub.add_parser("bounds", help="CSV table of bounds and achieved sizes")
     p_bounds.add_argument("--q-list", required=True,
                           help="comma-separated prime powers")
-    p_bounds.add_argument("--random-trials", type=int, default=0,
+    p_bounds.add_argument("--random-trials", type=_typed(int), default=0,
                           help="add a mean random-construction column")
     p_bounds.add_argument("--seed", type=_seed)
     p_bounds.add_argument("--output")
@@ -314,8 +318,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="Monte-Carlo estimate of the undetermined count")
     add_plane_args(p_mc)
-    p_mc.add_argument("--p", type=float)
-    p_mc.add_argument("--trials", type=int, required=True)
+    p_mc.add_argument("--p", type=_typed(float))
+    p_mc.add_argument("--trials", type=_typed(int), required=True)
     p_mc.add_argument("--seed", type=_seed, required=True)
 
     p_minsat = sub.add_parser("minsat", help="exact minimum by exhaustive search")
@@ -323,7 +327,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_hyper = sub.add_parser("hypergraph", help="saturation family diagnostics")
     add_plane_args(p_hyper)
-    p_hyper.add_argument("--s0-size", type=int, required=True)
+    p_hyper.add_argument("--s0-size", type=_typed(int), required=True)
     p_hyper.add_argument("--seed", type=_seed, required=True)
 
     p_plane = sub.add_parser("plane", help="generate or check plane files")
@@ -361,10 +365,12 @@ def cmd_plane(args, parser) -> int:
         print(f"wrote q={pl.q} plane ({pl.n} lines) to {args.file}")
         return 0
     try:
-        pl = _load_plane(args.file, parser, raise_axiom_failure=True)
+        pl = load_plane(args.file)
     except plane_mod.PlaneAxiomError as exc:
         print(exc)
         return 1
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot load plane file: {exc}")
     print(f"plane file OK: q={pl.q} n={pl.n}")
     return 0
 

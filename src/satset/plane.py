@@ -20,6 +20,7 @@ every construction in this package reproducible.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 from dataclasses import dataclass
 from decimal import Decimal
@@ -108,13 +109,15 @@ class ProjectivePlane:
         """The lines through each point, ascending: one sort of keys point*n + line.
 
         Entry for entry this is a stable argsort of the entries grouped by
-        point.  Raises unless every point lies on exactly q+1 lines.
+        point.  Raises unless every point lies on exactly q+1 lines, that is
+        unless each sorted key less n times its slot's point lies in [0, n).
         """
         owner = np.repeat(np.arange(n, dtype=np.int64), q + 1)
-        keys = line_points.ravel().astype(np.int64) * n + owner
+        keys = np.multiply(line_points.ravel(), n, dtype=np.int64)
+        keys += owner
         keys.sort()
-        points, lines = np.divmod(keys, n)
-        if not np.array_equal(points, owner):
+        lines = np.subtract(keys, np.multiply(owner, n, out=owner), out=owner)
+        if lines.min() < 0 or lines.max() >= n:
             raise ValueError("some point is not on exactly q+1 lines")
         return lines.astype(np.int32).reshape(n, q + 1)
 
@@ -388,7 +391,7 @@ def _point_indices(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
     except OverflowError:        # beyond intp, so outside the plane as well
         bad = [v for v in points if not 0 <= v < plane.n]
     if len(bad):
-        raise ValueError(f"point index {int(bad[0])} outside [0, {plane.n})")
+        raise ValueError(f"point index {_echo(str(int(bad[0])))} outside [0, {plane.n})")
     return idx
 
 
@@ -411,8 +414,9 @@ def save_plane(plane: ProjectivePlane, destination) -> None:
 def load_plane(source) -> ProjectivePlane:
     """Read and fully validate a plane file; raises ValueError on any defect.
 
-    The data rows are parsed once into one int32 table, which is checked
-    and inverted as an array.  A token is an ASCII decimal integer with at
+    The file is read once, front to back, so a pipe serves as well.  The
+    data rows are parsed once into one int32 table, which is checked and
+    inverted as an array.  A token is an ASCII decimal integer with at
     most one sign.  The first defect in file order is the one reported, as the
     row-by-row checks find it: leading or trailing whitespace, then a
     non-integer token, then the first failure of `validate_axioms`, which
@@ -421,38 +425,31 @@ def load_plane(source) -> ProjectivePlane:
     """
     with Path(source).open() as f:
         header, order = f.readline(), f.readline()
-        if header.rstrip("\n") == PLANE_HEADER and order.startswith("q="):
-            try:
-                declared = int(order[2:])
-            except ValueError:
-                declared = 0        # refused below as a bad order line
-            check_table_bytes(declared)
-        f.seek(0)
-        text = f.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    else:
+        try:
+            q = int(order[2:]) if header == PLANE_HEADER + "\n" and order[:2] == "q=" else None
+        except ValueError:
+            q = None        # refused below as a bad order line
+        if q is not None:
+            check_table_bytes(q)
+        body = f.read()
+    if not (body or order or header or "\n").endswith("\n"):     # an empty file passes
         raise ValueError("plane file must end with a newline")
-    if len(lines) < 2:
+    if not order:
         raise ValueError("plane file is missing its header")
-    if lines[0] != PLANE_HEADER:
-        raise ValueError(f"bad header: expected {PLANE_HEADER!r}, got {_echo(repr(lines[0]))}")
-    if not lines[1].startswith("q="):
+    if header != PLANE_HEADER + "\n":
+        raise ValueError(f"bad header: expected {PLANE_HEADER!r}, got {_echo(repr(header[:-1]))}")
+    if not order.startswith("q="):
         raise ValueError("second line must be q=<order>")
-    try:
-        q = int(lines[1][2:])
-    except ValueError:
-        raise ValueError(f"bad order line {_echo(repr(lines[1]))}") from None
+    if q is None:
+        raise ValueError(f"bad order line {_echo(repr(order[:-1]))}")
     if q < 2:
-        raise ValueError(f"order must be >= 2, got {q}")
+        raise ValueError(f"order must be >= 2, got {_echo(str(q))}")
     n = q * q + q + 1
-    data = lines[2:]
-    if len(data) != n:
-        raise ValueError(f"line count: expected {n} data rows, got {len(data)}")
-    table = _parse_rows(text[len(lines[0]) + len(lines[1]) + 2:], data)
+    if (rows := body.count("\n")) != n:
+        raise ValueError(f"line count: expected {n} data rows, got {rows}")
+    table = _parse_rows(body)
     if table is None or len(table) != n:
-        _raise_first_row_failure(data, q)
+        _raise_first_row_failure(body.split("\n")[:-1], q)
     failure, _, point_lines = _check_axioms(table, q)
     if failure is not None:
         raise PlaneAxiomError("axiom failure: " + failure)
@@ -462,7 +459,7 @@ def load_plane(source) -> ProjectivePlane:
 _ROW_CHARS = b"0123456789+- \n"
 
 
-def _parse_rows(body: str, data: list[str]) -> np.ndarray | None:
+def _parse_rows(body: str) -> np.ndarray | None:
     """The data rows as one int32 table, or None if the parse fails.
 
     It fails on any character but digits, signs, spaces and newlines, on
@@ -470,10 +467,10 @@ def _parse_rows(body: str, data: list[str]) -> np.ndarray | None:
     trailing or doubled space makes included) and on rows of unequal
     length.  It skips blank rows, so the caller checks the row count too.
     """
-    if not body.isascii() or body.encode("ascii").translate(None, _ROW_CHARS):
+    if not body.isascii() or (raw := body.encode("ascii")).translate(None, _ROW_CHARS):
         return None
     try:
-        return np.loadtxt(data, dtype=np.int32, delimiter=" ", comments=None, ndmin=2)
+        return np.loadtxt(io.BytesIO(raw), dtype=np.int32, delimiter=" ", comments=None, ndmin=2)
     except ValueError:
         return None
 

@@ -2,8 +2,9 @@
 
 Every random draw flows through numpy's PCG64 bit generator seeded with a
 SeedSequence, so any integer seed reproduces bit-identically across
-platforms.  Per-trial streams are derived from the pair (seed, index) and
-are therefore independent of execution order.
+platforms.  Per-trial streams come from ``np.random.default_rng((seed,
+index))``, the same construction on the pair, and are therefore
+independent of execution order.
 """
 
 from __future__ import annotations
@@ -12,10 +13,5 @@ import numpy as np
 
 
 def generator_from_seed(seed: int) -> np.random.Generator:
-    """PCG64 stream for a single seeded run."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
-def trial_generator(seed: int, index: int) -> np.random.Generator:
-    """Independent PCG64 stream for trial `index` of a seeded batch."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
+    """PCG64 stream for a single seeded run: ``np.random.default_rng(seed)``."""
+    return np.random.default_rng(seed)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import formulas
 from .plane import ProjectivePlane, _point_indices, join_rows, line_hits, point_hits
-from .rng import generator_from_seed, trial_generator
+from .rng import generator_from_seed
 
 BRUTEFORCE_POINT_CAP = 31
 
@@ -452,7 +452,7 @@ def monte_carlo_expectation(plane: ProjectivePlane, p: float, trials: int,
     n = plane.n
     ys = np.empty(trials, dtype=np.float64)
     for t in range(trials):
-        mask = trial_generator(seed, t).random(n) < p
+        mask = np.random.default_rng((seed, t)).random(n) < p
         ys[t] = n - int(_covered_mask(plane, mask).sum())
     mean = float(ys.mean())
     stderr = float(ys.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
@@ -475,18 +475,10 @@ def minsat_bruteforce(plane: ProjectivePlane) -> tuple[int, set[int]]:
     n = plane.n
     if n > BRUTEFORCE_POINT_CAP:
         raise ValueError(f"plane has {n} points; brute force capped at {BRUTEFORCE_POINT_CAP}")
-    line_bits = [0] * n
-    for j in range(n):
-        m = 0
-        for v in plane.line_points[j].tolist():
-            m |= 1 << v
-        line_bits[j] = m
-    pair_bits = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            bits = line_bits[plane.line_through(a, b)]
-            pair_bits[a][b] = bits
-            pair_bits[b][a] = bits
+    line_bits = [sum(1 << v for v in row) for row in plane.line_points.tolist()]
+    # pair_bits[a][b]: the line through a and b, as a bitmask (the diagonal is unused)
+    pair_bits = [[line_bits[j] for j in row]
+                 for row in join_rows(plane, list(range(n))).tolist()]
     full = (1 << n) - 1
     for k in range(2, n + 1):
         for combo in itertools.combinations(range(n), k):

@@ -401,6 +401,61 @@ def test_plane_gen_and_check(capsys, tmp_path):
         assert message in error
 
 
+def test_a_plane_file_loads_through_a_pipe(tmp_path):
+    # /dev/stdin is the pipe the text is fed through, which cannot seek
+    path = tmp_path / "p3.txt"
+    save_plane(canonical_plane(3), path)
+    text = path.read_text()
+    result = run_process(["plane", "check", "--file", "/dev/stdin"], text, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "plane file OK: q=3 n=13\n")
+    points = tmp_path / "pts.txt"
+    save_point_set(cli.saturation.greedy_construct(canonical_plane(3))[0], points)
+    by_path = run_process(["verify", "--plane", str(path), "--points", str(points)], timeout=60)
+    by_pipe = run_process(["verify", "--plane", "/dev/stdin", "--points", str(points)], text,
+                          timeout=60)
+    assert by_path.returncode == by_pipe.returncode == 0
+    assert by_path.stdout == by_pipe.stdout
+    assert by_pipe.stdout.startswith("saturating: size=")
+
+
+# name: (argv, the text of its FILE argument); each error echoes a 300-digit value
+LONG = "9" * 300
+LONG_VALUES = {
+    "--seed below 0": (["mc", "--q", "3", "--trials", "2", "--seed", "-" + LONG], None),
+    "--seed not an int": (["mc", "--q", "3", "--trials", "2", "--seed", "x" + LONG], None),
+    "--cap not an int": (["construct", "--q", "3", "--method", "greedy", "--stop-rule",
+                          "step-cap", "--cap", "x" + LONG], None),
+    "--cap below 2": (["construct", "--q", "3", "--method", "greedy", "--stop-rule",
+                       "step-cap", "--cap", "-" + LONG], None),
+    "--trials": (["mc", "--q", "3", "--trials", "x" + LONG, "--seed", "0"], None),
+    "--random-trials": (["bounds", "--q-list", "3", "--random-trials", "x" + LONG], None),
+    "--s0-size": (["hypergraph", "--q", "3", "--s0-size", "x" + LONG, "--seed", "0"], None),
+    "mc --p": (["mc", "--q", "3", "--trials", "2", "--seed", "0", "--p", "x" + LONG], None),
+    "construct --p": (["construct", "--q", "3", "--method", "random", "--seed", "0",
+                       "--p", "x" + LONG], None),
+    "negative --q": (["construct", "--q", "-" + LONG, "--method", "greedy"], None),
+    "negative --q-list entry": (["bounds", "--q-list", "3,-" + LONG], None),
+    "negative plane gen --q": (["plane", "gen", "--q", "-" + LONG, "--file", "FILE"], None),
+    "order line below 2": (["plane", "check", "--file", "FILE"], f"PLANE v1\nq=-{LONG}\n"),
+    "point index": (["verify", "--q", "3", "--points", "FILE"], LONG + "\n"),
+}
+
+
+@pytest.mark.parametrize("name", LONG_VALUES)
+def test_long_values_are_cut_in_the_error(capsys, tmp_path, name):
+    argv, text = LONG_VALUES[name]
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if arg == "FILE" else arg for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [err.splitlines()[-1]] and "Traceback" not in err
+    assert "9" * 30 + "..." in errors[0] and len(errors[0].encode()) < 120
+
+
 # name: (file text, the command that reads it)
 LONG_LINES = {
     "order line": ("PLANE v1\nq=7" + " 1" * 100_000 + "\n", ["plane", "check", "--file"]),
@@ -478,14 +533,19 @@ def test_order_above_table_cap_rejected(capsys, argv):
             in capsys.readouterr().err)
 
 
+def run_process(argv, stdin=None, timeout=10):
+    """The CLI in a subprocess of its own, `stdin` (if given) fed to it through a pipe."""
+    return subprocess.run(
+        [sys.executable, "-m", "satset.cli", *argv],
+        input=stdin, capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])})
+
+
 @pytest.mark.parametrize("q", ["1031", str(2**61 - 1)])
 def test_over_ceiling_order_refused_before_factoring(q):
     # a subprocess with a timeout: trial division of 2^61-1 would hang, not fail
-    result = subprocess.run(
-        [sys.executable, "-m", "satset.cli", "construct", "--q", q, "--method", "greedy"],
-        capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])})
+    result = run_process(["construct", "--q", q, "--method", "greedy"])
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert re.search(rf"error: PG\(2,{q}\) needs a \d+ MiB incidence table, "

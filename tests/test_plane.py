@@ -526,6 +526,7 @@ LOAD_GOLDEN = {
     "bad header": (_q3_file(header="PLANE v2"),
                    "bad header: expected 'PLANE v1', got 'PLANE v2'"),
     "missing header": ("PLANE v1\n", "plane file is missing its header"),
+    "empty file": ("", "plane file is missing its header"),
     "no order line": (_q3_file(order="order=3"), "second line must be q=<order>"),
     "bad order line": (_q3_file(order="q=three"), "bad order line 'q=three'"),
     "order below 2": (_q3_file(order="q=1"), "order must be >= 2, got 1"),
@@ -788,6 +789,19 @@ def test_invert_matches_a_stable_argsort(tmp_path):
         save_plane(canonical_plane(q), path)
         canon = canonical_plane(q).line_points
         assert np.array_equal(load_plane(path).point_lines, reference_invert(canon, n, q))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+def test_invert_matches_the_reference_on_every_table_dtype(dtype):
+    for q in (3, 4, 7):
+        rows = _relabelled_rows(q, np.random.default_rng(q)).astype(dtype)
+        kept = rows.copy()
+        n = rows.shape[0]
+        assert np.array_equal(ProjectivePlane._invert(rows, n, q), reference_invert(rows, n, q))
+        assert np.array_equal(rows, kept)       # the caller's table is left as it was
+    rows = np.array(_q3_rows(AXIOM_GOLDEN["point degree"][0]), dtype=dtype)
+    with pytest.raises(ValueError, match="^some point is not on exactly q\\+1 lines$"):
+        ProjectivePlane._invert(rows, 13, 3)
 
 
 @pytest.mark.parametrize("row", ["9 10 11 1_2", "9 10 11 \u0661\u0662", "9 10\t 11 12"])

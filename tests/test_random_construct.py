@@ -114,7 +114,7 @@ def test_monte_carlo_sample_ceiling(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(saturation, "trial_generator", unreachable)
+    monkeypatch.setattr(saturation, "_covered_mask", unreachable)
     with pytest.raises(ValueError, match="ceiling"):
         monte_carlo_expectation(pl, 0.5, 10, seed=3)
 
