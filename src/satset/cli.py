@@ -170,6 +170,7 @@ def cmd_bounds(args, parser) -> int:
         parser.error("--random-trials must be >= 0")
     if args.random_trials and args.seed is None:
         parser.error("--seed is required with --random-trials")
+    saturation.check_sample_bytes(args.random_trials)    # mc's ceiling, before any plane
     _check_destination(args.output, "output", parser)
     qs = []
     for tok in args.q_list.split(","):
@@ -260,17 +261,19 @@ def cmd_hypergraph(args, parser) -> int:
     if len(family) == 0:
         print("seed set already saturating; nothing to cover")
         return 0
-    r, t = result.r, result.t
+    r, t = hypergraph.check_uniform_intersecting(family)
     print(f"r={r} t={t if t is not None else 'NA'}")
     ok = True
     if len(family) >= 2:
         verdict = hypergraph.intersection_lemma_holds(pl, family, seed_set)
         ok &= verdict
         print(f"lemma_check={'PASS' if verdict else 'FAIL'}")
+    bound = (hypergraph.transversal_bound(r, t, len(family))
+             if r is not None and len(family) >= 2 else None)
     print(f"transversal_size={len(result.vertices)} "
-          f"bound={result.bound if result.bound is not None else 'NA'}")
-    if result.bound is not None:
-        ok &= len(result.vertices) <= result.bound
+          f"bound={bound if bound is not None else 'NA'}")
+    if bound is not None:
+        ok &= len(result.vertices) <= bound
         degree_floor = 1 + -(-t * len(family) // r)
         print(f"first_pick_degree={result.covered_counts[0]} floor={degree_floor}")
         ok &= result.covered_counts[0] >= degree_floor
@@ -279,10 +282,21 @@ def cmd_hypergraph(args, parser) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a value outside the choices that `_echo` cuts by the cut value alone,
+    without the choice list the usage line shows; subparsers inherit the class."""
+
+    def _check_value(self, action, value):
+        if (action.choices is not None and value not in action.choices
+                and (cut := plane_mod._echo(repr(value))) != repr(value)):
+            raise argparse.ArgumentError(action, f"invalid choice: {cut}")
+        super()._check_value(action, value)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="satset",
         description="Construct and verify saturating sets in projective planes.")
     sub = parser.add_subparsers(dest="command", required=True)

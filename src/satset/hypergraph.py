@@ -29,36 +29,22 @@ FAMILY_BYTES_CAP = 1 << 31
 class SetFamily:
     """A list of vertex subsets over a ground set [0, ground_size).
 
-    The read-only m x ground_size bool `incidence` (row k marks edge k) is
-    the primary data; `edges`, the same sets as frozensets, is derived on
-    first use.  `labels`, when present, records the originating
+    The family is its m x ground_size bool `incidence` matrix (row k marks
+    edge k), kept as a read-only view of the caller's array, which is
+    neither copied nor frozen.  `edges`, the same sets as frozensets, is
+    derived on first use.  `labels`, when present, records the originating
     unsaturated point of each edge of a saturation family.
     """
 
-    def __init__(self, ground_size: int, edges: Iterable[Iterable[int]],
-                 labels: tuple[int, ...] | None = None):
-        edges = tuple(frozenset(e) for e in edges)
-        incidence = np.zeros((len(edges), ground_size), dtype=bool)
-        for k, edge in enumerate(edges):
-            if not edge:
-                raise ValueError(f"edge {k} is empty")
-            if min(edge) < 0 or max(edge) >= ground_size:
-                raise ValueError(f"edge {k} has a vertex outside [0, {ground_size})")
-            incidence[k, list(edge)] = True
-        self._adopt(incidence, labels)
-
-    @classmethod
-    def _from_incidence(cls, incidence: np.ndarray, labels=None) -> SetFamily:
-        """A family over a bool matrix whose every row is a nonempty edge."""
-        family = cls.__new__(cls)
-        family._adopt(incidence, labels)
-        return family
-
-    def _adopt(self, incidence, labels) -> None:
+    def __init__(self, incidence: np.ndarray, labels: tuple[int, ...] | None = None):
+        if not (isinstance(incidence, np.ndarray) and incidence.dtype == bool
+                and incidence.ndim == 2):
+            raise ValueError("a family's incidence must be a 2-D bool array")
         if labels is not None and len(labels) != len(incidence):
             raise ValueError("labels must match edges one to one")
-        incidence.setflags(write=False)
-        self.ground_size, self.incidence, self.labels = incidence.shape[1], incidence, labels
+        self.incidence = incidence.view()
+        self.incidence.setflags(write=False)
+        self.ground_size, self.labels = incidence.shape[1], labels
 
     def __len__(self):
         return len(self.incidence)
@@ -90,9 +76,6 @@ class SetFamily:
 class TransversalResult:
     vertices: list[int]          # in pick order
     covered_counts: list[int]    # edges newly covered by each pick
-    bound: int | None            # ceil(rm/(tm+r) ln m) when it applies
-    r: int | None                # the family's (r, t), as the bound used them
-    t: int | None
 
 
 def saturation_family(plane: ProjectivePlane, seed_set: Iterable[int]) -> SetFamily:
@@ -112,7 +95,7 @@ def saturation_family(plane: ProjectivePlane, seed_set: Iterable[int]) -> SetFam
     rows = np.arange(m)[:, None, None]
     members[rows, plane.line_points[join_rows(plane, s0)[:, missing].T]] = True
     members[:, s0] = False
-    return SetFamily._from_incidence(members, tuple(missing) or None)
+    return SetFamily(members, tuple(missing) or None)
 
 
 def pairwise_intersection_sizes(family: SetFamily) -> list[int]:
@@ -178,19 +161,19 @@ def greedy_transversal(family: SetFamily) -> TransversalResult:
 
     Ties break to the lowest vertex index; degrees are computed once and
     updated in place, each pick subtracting the edges it newly covers.
-    The result is checked to hit every edge.  It carries the family's
-    (r, t) from `check_uniform_intersecting` and, for a uniform family with
-    m >= 2, the `transversal_bound` value for callers to compare against.
+    Only the incidence is read, so no Gram product is made; the family's
+    (r, t) and `transversal_bound` are for callers to ask for.  The result
+    is checked to hit every edge; an empty edge, which no pick can cover,
+    raises ValueError naming the first one.
     """
-    m = len(family)
-    r, t = check_uniform_intersecting(family)
-    bound = transversal_bound(r, t, m) if (r is not None and m >= 2) else None
     incidence = family.incidence
     degree = incidence.sum(axis=0, dtype=np.int64)
-    uncovered = np.ones(m, dtype=bool)
+    uncovered = np.ones(len(family), dtype=bool)
     picks: list[int] = []
     covered_counts: list[int] = []
     while uncovered.any():
+        if not degree.any():                    # every uncovered edge is empty
+            raise ValueError(f"edge {int(np.argmax(uncovered))} is empty")
         v = int(np.argmax(degree))
         newly = uncovered & incidence[:, v]
         picks.append(v)
@@ -198,7 +181,7 @@ def greedy_transversal(family: SetFamily) -> TransversalResult:
         degree -= incidence[newly].sum(axis=0, dtype=np.int64)
         uncovered &= ~newly
     assert incidence[:, picks].any(axis=1).all()
-    return TransversalResult(picks, covered_counts, bound, r, t)
+    return TransversalResult(picks, covered_counts)
 
 
 def augmented_set(plane: ProjectivePlane, seed_set: Iterable[int],

@@ -17,7 +17,8 @@ from typing import Iterable
 import numpy as np
 
 from . import formulas
-from .plane import ProjectivePlane, _point_indices, join_rows, line_hits, point_hits
+from .plane import (ProjectivePlane, _echo, _point_indices, join_rows, line_hits,
+                    point_hits)
 from .rng import generator_from_seed
 
 BRUTEFORCE_POINT_CAP = 31
@@ -428,10 +429,16 @@ def random_construct(plane: ProjectivePlane, seed: int,
 
 
 def check_sample_bytes(trials: int) -> None:
-    """Refuse a trial count whose float64 samples exceed `SAMPLE_BYTES_CAP`."""
+    """Refuse a trial count whose float64 samples exceed `SAMPLE_BYTES_CAP`.
+
+    A count `_echo` cuts is refused without its MiB figure, as long as the count.
+    """
     if (needed := 8 * trials) > SAMPLE_BYTES_CAP:
+        cap = SAMPLE_BYTES_CAP >> 20
+        if (count := _echo(str(trials))) != str(trials):
+            raise ValueError(f"{count} trials exceed the {cap} MiB sample ceiling")
         raise ValueError(f"{trials} trials need {needed >> 20} MiB of samples, "
-                         f"above the {SAMPLE_BYTES_CAP >> 20} MiB ceiling")
+                         f"above the {cap} MiB ceiling")
 
 
 def monte_carlo_expectation(plane: ProjectivePlane, p: float, trials: int,

@@ -1,5 +1,6 @@
 """Test-side helpers: one greedy step, set views of a state, skew lines,
-relabelled planes and the per-row, per-point plane validator.
+relabelled planes, set families from vertex sets and the per-row,
+per-point plane validator.
 
 No command or construction needs these, so they live beside the tests,
 where each serves as an independent view of the library's state.
@@ -7,6 +8,7 @@ where each serves as an independent view of the library's state.
 
 import numpy as np
 
+from satset.hypergraph import SetFamily
 from satset.plane import (ProjectivePlane, ValidationReport, _point_indices,
                           canonical_plane, line_hits, load_plane, save_plane)
 from satset.saturation import _apply, _select, unsaturated
@@ -55,6 +57,15 @@ def relabelled_plane(q, directory):
     loaded = load_plane(path)
     assert not np.array_equal(loaded.point_lines, loaded.line_points)
     return loaded, relabel
+
+
+def edge_family(ground_size, edges, labels=None):
+    """A `SetFamily` over [0, ground_size) whose edge k is the k-th vertex set."""
+    edges = [sorted(set(e)) for e in edges]
+    incidence = np.zeros((len(edges), ground_size), dtype=bool)
+    for k, edge in enumerate(edges):
+        incidence[k, edge] = True
+    return SetFamily(incidence, labels)
 
 
 def reference_invert(line_points, n, q):

@@ -230,7 +230,7 @@ def test_criterion_09_hypergraph_suite():
                     r, t = ss.check_uniform_intersecting(family)
                     result = ss.greedy_transversal(family)
                     m = len(family)
-                    if len(result.vertices) > result.bound:
+                    if len(result.vertices) > ss.transversal_bound(r, t, m):
                         cover_ok = False
                     if result.covered_counts[0] < 1 + math.ceil(t * m / r):
                         cover_ok = False

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -438,6 +439,9 @@ LONG_VALUES = {
     "negative plane gen --q": (["plane", "gen", "--q", "-" + LONG, "--file", "FILE"], None),
     "order line below 2": (["plane", "check", "--file", "FILE"], f"PLANE v1\nq=-{LONG}\n"),
     "point index": (["verify", "--q", "3", "--points", "FILE"], LONG + "\n"),
+    "mc --trials count": (["mc", "--q", "2", "--trials", LONG, "--seed", "0"], None),
+    "--method choice": (["construct", "--q", "3", "--method", "x" + LONG], None),
+    "command": (["x" + LONG], None),
 }
 
 
@@ -454,6 +458,22 @@ def test_long_values_are_cut_in_the_error(capsys, tmp_path, name):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert errors == [err.splitlines()[-1]] and "Traceback" not in err
     assert "9" * 30 + "..." in errors[0] and len(errors[0].encode()) < 120
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--q", "3", "--method", "x"],
+    ["x"],
+    ["plane", "x" * 37, "--file", "FILE"],
+])
+def test_short_refused_choices_keep_argparses_message(capsys, monkeypatch, argv):
+    errors = []
+    for check in (cli._Parser._check_value, argparse.ArgumentParser._check_value):
+        monkeypatch.setattr(cli._Parser, "_check_value", check)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "(choose from " in errors[0]
 
 
 # name: (file text, the command that reads it)
@@ -660,6 +680,8 @@ def test_main_is_the_one_failure_boundary(monkeypatch, capsys, owner, name, argv
      "--s0-size must be >= 2"),
     (["mc", "--q", "3", "--trials", "100000000000000", "--seed", "0", "--p", "0"],
      "100000000000000 trials need 762939453 MiB of samples, above the 2048 MiB ceiling"),
+    (["bounds", "--q-list", "3", "--random-trials", str((1 << 28) + 1), "--seed", "0"],
+     "268435457 trials need 2048 MiB of samples, above the 2048 MiB ceiling"),
 ])
 def test_plane_free_checks_run_before_any_plane(monkeypatch, capsys, argv, message):
     def unreachable(q):

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import relabelled_plane
+from oracles import edge_family, relabelled_plane
 from satset import hypergraph
 from satset.cli import main
 from satset.hypergraph import (SetFamily, check_uniform_intersecting,
@@ -23,7 +23,7 @@ def sunflower(core: int, petal: int, m: int) -> SetFamily:
     for k in range(m):
         base = core + k * petal
         edges.append(frozenset(range(core)) | frozenset(range(base, base + petal)))
-    return SetFamily(ground_size=ground, edges=tuple(edges))
+    return edge_family(ground, edges)
 
 
 def test_fano_family_example():
@@ -62,11 +62,11 @@ def test_check_uniform_intersecting():
     fam = sunflower(core=2, petal=8, m=20)
     r, t = check_uniform_intersecting(fam)
     assert (r, t) == (10, 2)
-    single = SetFamily(5, (frozenset({1, 2}),))
+    single = edge_family(5, ({1, 2},))
     assert check_uniform_intersecting(single) == (2, None)
-    twins = SetFamily(5, (frozenset({1, 2, 3}), frozenset({1, 2, 3})))
+    twins = edge_family(5, ({1, 2, 3}, {1, 2, 3}))
     assert check_uniform_intersecting(twins) == (3, 3)
-    ragged = SetFamily(5, (frozenset({0}), frozenset({1, 2})))
+    ragged = edge_family(5, ({0}, {1, 2}))
     r, t = check_uniform_intersecting(ragged)
     assert r is None and t == 0
 
@@ -136,33 +136,36 @@ def test_transversal_bound_against_high_precision_oracle():
 
 
 def test_greedy_transversal_single_edge():
-    fam = SetFamily(9, (frozenset({4, 2, 7}),))
+    fam = edge_family(9, ({4, 2, 7},))
     res = greedy_transversal(fam)
     assert res.vertices == [2]          # lowest index of the only edge
     assert res.covered_counts == [1]
-    assert res.bound is None
 
 
 def test_greedy_transversal_sunflower():
     fam = sunflower(core=2, petal=8, m=20)
     res = greedy_transversal(fam)
-    assert res.bound == 12
-    assert len(res.vertices) <= res.bound
+    bound = transversal_bound(*check_uniform_intersecting(fam), len(fam))
+    assert bound == 12
+    assert len(res.vertices) <= bound
     assert res.vertices == [0]          # a core vertex covers everything
     assert res.covered_counts[0] >= 1 + math.ceil(2 * 20 / 10)
 
 
 def test_greedy_transversal_covers_disjoint_edges():
     edges = tuple(frozenset({2 * k, 2 * k + 1}) for k in range(6))
-    res = greedy_transversal(SetFamily(12, edges))
+    res = greedy_transversal(edge_family(12, edges))
     assert len(res.vertices) == 6
     for e in edges:
         assert any(v in e for v in res.vertices)
 
 
 def test_empty_edge_rejected():
-    with pytest.raises(ValueError):
-        SetFamily(4, (frozenset(),))
+    # the transversal refuses it: no pick can cover an empty edge
+    for ground, edges, name in ((0, ((), ()), "edge 0"), (4, ((),), "edge 0"),
+                                (4, ({1, 2}, (), {3}), "edge 1")):
+        with pytest.raises(ValueError, match=f"^{name} is empty$"):
+            greedy_transversal(edge_family(ground, edges))
 
 
 def test_transversal_saturates_the_seed():
@@ -173,8 +176,9 @@ def test_transversal_saturates_the_seed():
             seed_set = set(int(v) for v in rng.choice(pl.n, size=size, replace=False))
             fam = saturation_family(pl, seed_set)
             res = greedy_transversal(fam)
-            if res.bound is not None:
-                assert len(res.vertices) <= res.bound
+            r, t = check_uniform_intersecting(fam)
+            if len(fam) >= 2:
+                assert len(res.vertices) <= transversal_bound(r, t, len(fam))
             assert is_saturating(pl, seed_set | set(res.vertices))
 
 
@@ -207,13 +211,13 @@ def reference_transversal(family: SetFamily) -> tuple[list[int], list[int]]:
 
 def kernel_families() -> list[SetFamily]:
     families = [
-        SetFamily(5, ()),
-        SetFamily(9, (frozenset({4, 2, 7}),)),
+        edge_family(5, ()),
+        edge_family(9, ({4, 2, 7},)),
         sunflower(core=2, petal=8, m=20),
-        SetFamily(5, (frozenset({1, 2, 3}), frozenset({1, 2, 3}))),
-        SetFamily(5, (frozenset({0}), frozenset({1, 2}))),
-        SetFamily(70, (frozenset(range(0, 70, 3)), frozenset(range(1, 70, 2)),
-                       frozenset({0, 8, 63, 64, 69}), frozenset(range(60, 70)))),
+        edge_family(5, ({1, 2, 3}, {1, 2, 3})),
+        edge_family(5, ({0}, {1, 2})),
+        edge_family(70, (range(0, 70, 3), range(1, 70, 2), {0, 8, 63, 64, 69},
+                         range(60, 70))),
     ]
     rng = np.random.default_rng(41)
     for q in (7, 9, 11):
@@ -234,22 +238,17 @@ def test_intersections_match_frozenset_oracle():
         assert check_uniform_intersecting(fam) == (r, t)
 
 
-def test_greedy_transversal_matches_recount_reference():
-    for fam in kernel_families():
+def test_greedy_transversal_matches_recount_reference(monkeypatch, tmp_path):
+    def no_gram(family):
+        raise AssertionError("the transversal made a Gram product")
+
+    relabelled, relabel = relabelled_plane(16, tmp_path)
+    moved_seed = [int(relabel[v]) for v in (0, 5, 77)]
+    families = kernel_families() + [saturation_family(relabelled, moved_seed)]
+    monkeypatch.setattr(SetFamily, "intersections", property(no_gram))
+    for fam in families:
         res = greedy_transversal(fam)
         assert (res.vertices, res.covered_counts) == reference_transversal(fam)
-
-
-def test_greedy_transversal_carries_r_and_t():
-    for fam in kernel_families():
-        expected = oracle_intersections(fam)
-        sizes = {len(e) for e in fam.edges}
-        res = greedy_transversal(fam)
-        assert res.r == (sizes.pop() if len(sizes) == 1 else None)
-        assert res.t == (min(expected) if expected else None)
-    empty = greedy_transversal(SetFamily(5, ()))
-    assert (empty.vertices, empty.covered_counts, empty.bound) == ([], [], None)
-    assert (empty.r, empty.t) == (None, None)
 
 
 def test_intersection_lemma_holds_and_detects_a_perturbed_edge():
@@ -262,7 +261,7 @@ def test_intersection_lemma_holds_and_detects_a_perturbed_edge():
     edge = fam.edges[-1]
     outside = min(set(range(pl.n)) - edge - seed_set)
     swapped = (edge - {min(edge)}) | {outside}
-    perturbed = SetFamily(fam.ground_size, fam.edges[:-1] + (swapped,), fam.labels)
+    perturbed = edge_family(fam.ground_size, fam.edges[:-1] + (swapped,), fam.labels)
     assert check_uniform_intersecting(perturbed)[0] == len(edge)
     assert not intersection_lemma_holds(pl, perturbed, seed_set)
 
@@ -295,8 +294,8 @@ def test_family_on_a_relabelled_plane_matches_the_canonical_one(tmp_path, q):
 
 def test_incidence_built_family_equals_edge_built_family():
     for fam in kernel_families():
-        from_rows = SetFamily._from_incidence(fam.incidence.copy(), fam.labels)
-        from_edges = SetFamily(fam.ground_size, fam.edges, fam.labels)
+        from_rows = SetFamily(fam.incidence.copy(), fam.labels)
+        from_edges = edge_family(fam.ground_size, fam.edges, fam.labels)
         for built in (from_rows, from_edges):
             assert built.ground_size == fam.ground_size
             assert built.labels == fam.labels
@@ -306,7 +305,7 @@ def test_incidence_built_family_equals_edge_built_family():
             assert len(built) == len(fam)
     pl = canonical_plane(9)
     fam = saturation_family(pl, {0, 13, 47, 88})
-    rebuilt = SetFamily(pl.n, fam.edges, fam.labels)
+    rebuilt = edge_family(pl.n, fam.edges, fam.labels)
     assert np.array_equal(rebuilt.incidence, fam.incidence)
     assert np.array_equal(rebuilt.intersections, fam.intersections)
 
@@ -321,9 +320,25 @@ def test_intersection_matrix_matches_frozenset_oracle():
         assert gram.tolist() == [[len(a & b) for b in fam.edges] for a in fam.edges]
 
 
+def test_constructor_keeps_a_read_only_view_of_the_callers_array():
+    rows = np.zeros((3, 6), dtype=bool)
+    rows[[0, 1, 2], [1, 2, 4]] = True
+    fam = SetFamily(rows, (7, 8, 9))
+    assert rows.flags.writeable and not fam.incidence.flags.writeable
+    assert np.shares_memory(fam.incidence, rows)
+    assert fam.ground_size == 6 and fam.labels == (7, 8, 9)
+    rows[0, 5] = True                   # the family sees the caller's array
+    assert fam.edges[0] == frozenset({1, 5})
+    for bad in (rows[0], rows[None], rows.astype(np.uint8), rows.tolist()):
+        with pytest.raises(ValueError, match="2-D bool array"):
+            SetFamily(bad)
+    with pytest.raises(ValueError, match="one to one"):
+        SetFamily(rows, (7, 8))
+
+
 def test_lemma_check_needs_labels():
     pl = canonical_plane(3)
-    fam = SetFamily(pl.n, (frozenset({1, 2, 3}), frozenset({3, 4, 5})))
+    fam = edge_family(pl.n, ({1, 2, 3}, {3, 4, 5}))
     with pytest.raises(ValueError, match="labelled family"):
         intersection_lemma_holds(pl, fam, {0, 6})
 
