@@ -378,6 +378,8 @@ def cmd_plane(args, parser) -> int:
             parser.error(f"cannot write plane file: {exc}")
         print(f"wrote q={pl.q} plane ({pl.n} lines) to {args.file}")
         return 0
+    if args.q is not None:
+        parser.error("--q only applies to plane gen")
     try:
         pl = load_plane(args.file)
     except plane_mod.PlaneAxiomError as exc:

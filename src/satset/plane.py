@@ -232,13 +232,15 @@ def validate_axioms(rows, q: int) -> ValidationReport:
     q+1 lines through p hold (q+1)q = n-1 slots besides p, one for each
     other point, so their union is every point exactly when every pair
     (p, x) has exactly one common line.  Up to `_BIT_CHECK_POINTS` points
-    the lines are packed into n-bit rows and ORed per point.  A pair needs
-    checking from one side only, so points p in [s, s+16) OR only the
-    words from s >> 6 onward.  The first point the count fails, p*, misses
-    some x0 > p* (an x0 < p* would fail first), so the first 16-point
-    block the bits refuse holds p*, and the per-point count, run from that
-    block's start, names the same pair.  Larger planes take the count
-    alone.
+    the lines are packed into n-bit rows, and the points are taken in
+    blocks of 512: each block's cover is one 512-row buffer into which
+    the rows of its points' lines are ORed column by column.  A pair
+    needs checking from one side only, so the block [s, s+512) ORs only
+    the words from s >> 6 onward.  The first point the count fails, p*,
+    misses some x0 > p* (an x0 < p* would fail first), a bit its block
+    keeps, while every earlier point covers all n points; so the first
+    point the bits refuse is p*, and the per-point count, run from p*,
+    names the same pair.  Larger planes take the count alone.
     """
     failure, _, _ = _check_axioms(rows, q)
     return ValidationReport(failure is None, [] if failure is None else [failure])
@@ -314,14 +316,19 @@ def _is_integer(value) -> bool:
 
 
 def _first_uncovered_block(table: np.ndarray, point_lines: np.ndarray, n: int) -> int:
-    """Start of the first 16-point block the packed cover check refuses, or n.
+    """The first point the packed cover check refuses, or n.
 
     Line j becomes an n-bit row, packed in blocks of 256 lines, with bit x
     set when x is on it; the padding bits past n (n is odd, so the last
-    word has some) are set in every row.  Points p in [s, s+16) OR their
-    lines' rows from word s >> 6 on, and the block passes when every bit
-    is set.  A point that misses a point x < p in that word makes x miss
-    p as well, and x's block, no later than p's, is refused first.
+    word has some) are set in every row.  Points are taken 512 at a time:
+    the cover of the block [s, s+512) starts as the rows, from word s >> 6
+    on, of each point's first line, and each further column of its
+    `point_lines` rows is ORed into it in place, so one 512-row buffer is
+    all the scan holds.  A point passes when every bit of its cover is
+    set.  This is the first point p* the per-point count refuses: every
+    earlier point covers all n points, and p* misses some x0 > p* (an
+    x0 < p* would itself fail first), a bit at or past word s >> 6 of
+    its block.
     """
     words = -(-n // 64)
     bits = np.zeros((n, words), dtype="<u8")
@@ -332,10 +339,14 @@ def _first_uncovered_block(table: np.ndarray, point_lines: np.ndarray, n: int) -
         on = np.zeros((len(lines), n), dtype=bool)
         on[np.arange(len(lines))[:, None], lines] = True
         as_bytes[s:s + 256, :-(-n // 8)] |= np.packbits(on, axis=1, bitorder="little")
-    for s in range(0, n, 16):
-        cover = np.bitwise_or.reduce(bits[:, s >> 6:][point_lines[s:s + 16]], axis=1)
-        if (~cover).any():
-            return s
+    for s in range(0, n, 512):
+        lines = point_lines[s:s + 512]
+        cover = bits[lines[:, 0], s >> 6:]
+        for c in range(1, lines.shape[1]):
+            cover |= bits[lines[:, c], s >> 6:]
+        refused = np.flatnonzero((~cover).any(axis=1))
+        if refused.size:
+            return s + int(refused[0])
     return n
 
 

@@ -377,6 +377,13 @@ def test_plane_gen_and_check(capsys, tmp_path):
     assert code == 0
     code, out = run(capsys, ["plane", "check", "--file", str(path)])
     assert code == 0 and "OK" in out
+    # the order is the file's: check refuses --q rather than ignore it
+    with pytest.raises(SystemExit) as exc:
+        main(["plane", "check", "--q", "3", "--file", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "satset: error: --q only applies to plane gen"
     # corrupt an incidence: axiom failure exits 1
     text = path.read_text().split("\n")
     row = text[2].split(" ")

@@ -754,9 +754,10 @@ def test_bit_cover_check_matches_the_count_oracle(q, monkeypatch):
     n = q * q + q + 1
     rng = np.random.default_rng(1000 + q)
     latest = n - 2 * q
-    placed = [0, min(n // 32 * 16 + 3, latest), latest]
-    if q in (2, 3, 5):
-        assert latest // 16 == (n - 1) // 16      # the last block is reachable
+    # 511 and 512: the last point of the first 512-point block, the first of the second
+    placed = [0, min(n // 32 * 16 + 3, latest), latest] + [p for p in (511, 512) if p <= latest]
+    if q <= 25:
+        assert latest // 512 == (n - 1) // 512    # the last, partial block is reachable
     planes = [(_relabelled_rows(q, rng), None)]
     planes += [(_swapped_rows(q, rng), None) for _ in range(3)]
     planes += [(_swapped_rows(q, rng, low), low) for low in placed]
@@ -769,8 +770,8 @@ def test_bit_cover_check_matches_the_count_oracle(q, monkeypatch):
             continue
         first = int(expect.failures[0].split()[3])
         assert low is None or first == low
-        # the bits refuse the block of the count loop's first failing point
-        assert plane._first_uncovered_block(rows, point_lines, n) == first // 16 * 16
+        # the bits refuse the count loop's first failing point itself
+        assert plane._first_uncovered_block(rows, point_lines, n) == first
         with monkeypatch.context() as m:
             m.setattr(plane, "_BIT_CHECK_POINTS", 0)       # the count loop alone
             assert validate_axioms(rows, q) == expect
