@@ -264,9 +264,8 @@ def _check_axioms(rows, q: int) -> tuple[str | None, np.ndarray | None, np.ndarr
     else:
         # the first row that is no sequence, has the wrong size or a non-integer
         # entry ends the table; entries are checked one by one only if some is no int
-        ints = all(issubclass(t, (int, np.integer)) and t is not bool
-                   for t in set(map(type, itertools.chain.from_iterable(
-                       row for row in rows if hasattr(row, "__len__")))))
+        ints = all(map(_is_int_type, set(map(type, itertools.chain.from_iterable(
+            row for row in rows if hasattr(row, "__len__"))))))
         sized = next((j for j, row in enumerate(rows) if not hasattr(row, "__len__")
                       or len(row) != q + 1 or not (ints or all(map(_is_integer, row)))), n)
         try:
@@ -306,6 +305,11 @@ def _check_axioms(rows, q: int) -> tuple[str | None, np.ndarray | None, np.ndarr
             word = "no common line" if counts[other] == 0 else "more than one common line"
             return f"unique meet: points {p} and {other} have {word}", None, None
     return None, table, point_lines
+
+
+def _is_int_type(t: type) -> bool:
+    """Whether values of type t are integers: int or a numpy integer, not bool."""
+    return issubclass(t, (int, np.integer)) and t is not bool
 
 
 def _is_integer(value) -> bool:
@@ -350,6 +354,11 @@ def _first_uncovered_block(table: np.ndarray, point_lines: np.ndarray, n: int) -
     return n
 
 
+def _block_rows(n: int, width: int) -> int:
+    """Rows of `width` entries in one block of about max(n, 2^16) entries."""
+    return max(1, max(n, 1 << 16) // width)
+
+
 def _row_counts(table: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
     """How often each value in [0, n) occurs in `table[rows]` (all rows if None).
 
@@ -358,7 +367,7 @@ def _row_counts(table: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarra
     outweighs the n counts its bincount returns.  Values >= n are dropped.
     """
     counts = np.zeros(n, dtype=np.int64)
-    step = max(1, max(n, 1 << 16) // table.shape[1])
+    step = _block_rows(n, table.shape[1])
     for start in range(0, len(table) if rows is None else len(rows), step):
         block = slice(start, start + step)
         counts += np.bincount(table[block if rows is None else rows[block]].ravel(),
@@ -374,9 +383,18 @@ def line_hits(plane: ProjectivePlane, points: np.ndarray) -> np.ndarray:
     return _row_counts(plane.point_lines, points, plane.n)
 
 
-def point_hits(plane: ProjectivePlane, lines: np.ndarray) -> np.ndarray:
-    """How many of the given (distinct) lines pass through each point."""
-    return _row_counts(plane.line_points, lines, plane.n)
+def on_lines(plane: ProjectivePlane, lines: np.ndarray) -> np.ndarray:
+    """Whether each point lies on any of the given lines, as a bool mask.
+
+    One scatter per block of about max(n, 2^16) entries, through an intp
+    copy of the block's rows: an int32 index sends numpy's fancy
+    assignment down its slower casting path.
+    """
+    mask = np.zeros(plane.n, dtype=bool)
+    step = _block_rows(plane.n, plane.q + 1)
+    for start in range(0, len(lines), step):
+        mask[plane.line_points[lines[start:start + step]].astype(np.intp)] = True
+    return mask
 
 
 def join_rows(plane: ProjectivePlane, points: list[int]) -> np.ndarray:
@@ -393,9 +411,19 @@ def join_rows(plane: ProjectivePlane, points: list[int]) -> np.ndarray:
 
 
 def _point_indices(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
-    """The given points as one intp array; the first outside [0, n) raises."""
+    """The given points as one intp array.
+
+    An integer array is taken by its dtype alone; other input is read
+    entry by entry, and the first bool or non-integer entry (a float, even
+    an integral one) raises, as does the first index outside [0, n).
+    """
+    if isinstance(points, np.ndarray) and points.dtype.kind not in "iu":
+        points = points.tolist()        # bool, float and object entries, one by one
     if not isinstance(points, np.ndarray):
         points = list(points)
+        if not all(map(_is_int_type, set(map(type, points)))):
+            bad = next(v for v in points if not _is_int_type(type(v)))
+            raise ValueError(f"point index {_echo(repr(bad))} is not an integer")
     try:
         idx = np.asarray(points, dtype=np.intp)
         bad = idx[(idx < 0) | (idx >= plane.n)]

@@ -17,8 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import formulas
-from .plane import (ProjectivePlane, _echo, _point_indices, join_rows, line_hits,
-                    point_hits)
+from .plane import ProjectivePlane, _echo, _point_indices, join_rows, line_hits, on_lines
 from .rng import generator_from_seed
 
 BRUTEFORCE_POINT_CAP = 31
@@ -44,7 +43,7 @@ def _covered_mask(plane: ProjectivePlane, mask: np.ndarray) -> np.ndarray:
     from the lines through the marked points alone: O(|S| q) work.
     """
     hits = line_hits(plane, np.flatnonzero(mask))
-    return point_hits(plane, np.flatnonzero(hits >= 2)) > 0
+    return on_lines(plane, np.flatnonzero(hits >= 2))
 
 
 def unsaturated(plane: ProjectivePlane, points: Iterable[int]) -> set[int]:
@@ -67,8 +66,8 @@ def undetermined_count(plane: ProjectivePlane, points: Iterable[int]) -> int:
 
 def is_saturating(plane: ProjectivePlane, points: Iterable[int]) -> bool:
     """True iff the set has >= 2 points and saturates every outside point."""
-    pts = set(points)
-    return len(pts) >= 2 and not unsaturated(plane, pts)
+    idx = _point_indices(plane, points)
+    return len(set(idx.tolist())) >= 2 and not unsaturated(plane, idx)
 
 
 class VerificationError(RuntimeError):
@@ -116,7 +115,7 @@ class SaturationState:
             dup = int(np.flatnonzero(np.bincount(idx, minlength=n) > 1)[0])
             raise ValueError(f"point {dup} already chosen")
         self.line_hits = line_hits(plane, idx)
-        determined = point_hits(plane, np.flatnonzero(self.line_hits >= 2)) > 0
+        determined = on_lines(plane, np.flatnonzero(self.line_hits >= 2))
         self.in_unsat = ~determined & ~self.in_chosen
         unsat = np.flatnonzero(self.in_unsat)
         # count the smaller side, as every line has q+1 points: a sample

@@ -130,6 +130,9 @@ CONSTRUCT_JSON_SHA256 = {
     ("25", "random", "3", None): "8dc3c9e41e414c5422c4b62c4acd3566428035e72f43c729df9314f24f4b0599",
     ("9", "random", "0", "0"): "a7de3d0afa67eecfc23159da12eefab07d24284a9cbea2f420802b5f9bfe1156",
     ("9", "random", "1", "0.02"): "05f394c73387ebe37ea22aa1a9463ee25dc93b75d0e714485ecbe649d9e5ca21",
+    # above q = 64 the sample's secants fill more than one block of the covered mask
+    ("256", "random", "1701", None): "50ce506fcf2eb4f751ee7cfd4d3ffcb3157c6b3355ee337abf1b0140547b75e4",
+    ("128", "random", "0", "0.05"): "147d24384e6c2cb2bef3baa9376059c1a02ba5b63f22d020250c409c87d248fa",
     ("9", "baer", None, None): "1961530a6f4bfaa8dbcb3bf4638839b72b2ca76fcaffcfe354f0dd8bbd54f4fb",
     ("16", "baer", None, None): "abf6471529d6e41363c306113fb3ce0ec96bc2f1a8384b8d8b49b96a613a02b4",
     ("25", "baer", None, None): "9fffc72ee04936d823544708a1f45eb23220a78085627155174b76d3fbfca09a",

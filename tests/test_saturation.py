@@ -4,7 +4,7 @@ import pytest
 from oracles import (check_partition, determined_set, greedy_step, relabelled_plane,
                      skew_lines, unsaturated_set)
 from satset.formulas import sampling_probability
-from satset.plane import canonical_plane
+from satset.plane import _block_rows, canonical_plane, line_hits, on_lines
 from satset.rng import generator_from_seed
 from satset.saturation import (VARIANTS, SaturationState, _covered_mask,
                                is_saturating, undetermined_count, unsaturated)
@@ -275,21 +275,26 @@ def test_add_point_rejects_duplicates():
 def relabelled_planes(tmp_path_factory):
     """Seeded relabellings of PG(2,q), saved and loaded, so that
     `point_lines` is a separate table that differs from `line_points`."""
-    return [relabelled_plane(q, tmp_path_factory.mktemp("planes"))[0] for q in (4, 16)]
+    return [relabelled_plane(q, tmp_path_factory.mktemp("planes"))[0] for q in (4, 16, 64)]
 
 
 # On a canonical plane `point_lines` is `line_points`, so a kernel that
 # reads one table for the other passes there; these planes tell them apart.
 
+def _oracle_sized(planes):
+    """The planes small enough for the per-point benefit oracle (q <= 16)."""
+    return [pl for pl in planes if pl.q <= 16]
+
+
 def test_benefit_vector_on_relabelled_planes(relabelled_planes):
-    for pl in relabelled_planes:
+    for pl in _oracle_sized(relabelled_planes):
         for state in kernel_states(pl):
             assert_vector_matches_oracle(state)
 
 
 def test_benefit_vector_on_bulk_states_from_unsorted_points(relabelled_planes):
     # a bulk state builds the join rows of all its points in one call
-    for pl in [canonical_plane(7)] + relabelled_planes:
+    for pl in [canonical_plane(7)] + _oracle_sized(relabelled_planes):
         rng = np.random.default_rng(pl.q)
         for size in (3, 5, pl.q + 2):
             pts = rng.permutation(pl.n)[:size]
@@ -299,7 +304,7 @@ def test_benefit_vector_on_bulk_states_from_unsorted_points(relabelled_planes):
 
 def test_benefit_vector_after_every_add_point(relabelled_planes):
     # the join rows grow one point at a time from an empty state
-    for pl in relabelled_planes:
+    for pl in _oracle_sized(relabelled_planes):
         state = SaturationState(pl)
         for p in np.random.default_rng(pl.n).permutation(pl.n)[: pl.q + 3].tolist():
             assert_vector_matches_oracle(state)
@@ -369,6 +374,30 @@ def test_array_entry_points_reject_indices_beyond_int64(bad):
     assert state.chosen == [0, 4]
 
 
+@pytest.mark.parametrize("bad", [
+    np.ones(13, dtype=bool), np.isin(np.arange(13), [0, 1, 3, 9, 12]),
+    [True, 2.0, 3], [2.7], [1, 2.0], np.array([1.0, 2.0]), [np.True_, 4]])
+def test_entry_points_refuse_bool_and_non_integer_indices(bad):
+    # a bool mask once read as the points 0 and 1, and a float was truncated
+    pl = canonical_plane(3)
+    state = SaturationState(pl, [0, 1])
+    for call in (lambda: unsaturated(pl, bad), lambda: is_saturating(pl, bad),
+                 lambda: SaturationState(pl, bad), lambda: state.benefits(bad)):
+        with pytest.raises(ValueError, match="^point index .* is not an integer$"):
+            call()
+    assert state.chosen == [0, 1]
+
+
+def test_integer_indices_of_any_integer_type_are_accepted():
+    pl = canonical_plane(3)
+    pts = np.array([0, 1, 3, 9, 12], dtype=np.intp)
+    for same in (pts, pts.astype(np.uint8), pts.astype(np.int32), pts.tolist(),
+                 [np.int64(v) for v in pts], pts.astype(object)):
+        assert unsaturated(pl, same) == unsaturated(pl, pts)
+    assert is_saturating(pl, np.arange(13))
+    assert unsaturated(pl, np.array([], dtype=float)) == set(range(13))
+
+
 def test_bulk_state_rejects_bad_points_as_add_point_does():
     pl = canonical_plane(2)
     for bad in ([0, -1], [7], [3, 100], [1, 5, 1], [2, 2]):
@@ -391,15 +420,23 @@ def dense_covered(plane, mask):
 
 
 def test_sparse_recount_equals_dense_per_line_reference(relabelled_planes):
-    planes = [canonical_plane(q) for q in (2, 3, 4, 7, 16, 32)] + relabelled_planes
+    # from q = 64 on a block of the covered mask holds fewer lines than the plane
+    planes = [canonical_plane(q) for q in (2, 3, 4, 7, 16, 32, 64)] + relabelled_planes
     for pl in planes:
+        none = on_lines(pl, np.array([], dtype=np.intp))
+        assert none.dtype == bool and none.shape == (pl.n,) and not none.any()
+        most_secants = 0
         for p in (0.0, 1 / pl.n, 0.01, 0.5, 1.0):
             for seed in range(3):
                 mask = np.zeros(pl.n, dtype=bool)
                 mask[_sample(pl, p, seed)] = True
+                secants = np.count_nonzero(line_hits(pl, np.flatnonzero(mask)) >= 2)
+                most_secants = max(most_secants, secants)
                 covered = dense_covered(pl, mask)
                 assert np.array_equal(_covered_mask(pl, mask), covered)
                 assert unsaturated(pl, np.flatnonzero(mask)) == \
                     set(np.flatnonzero(~covered & ~mask).tolist())
                 assert undetermined_count(pl, np.flatnonzero(mask)) == \
                     pl.n - int(covered.sum())
+        if pl.q == 64:
+            assert most_secants > _block_rows(pl.n, pl.q + 1)
