@@ -425,13 +425,15 @@ def _point_indices(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
             bad = next(v for v in points if not _is_int_type(type(v)))
             raise ValueError(f"point index {_echo(repr(bad))} is not an integer")
     try:
-        idx = np.asarray(points, dtype=np.intp)
+        # an unsigned array is checked before its cast, where 2**63 and up would wrap
+        unsigned = isinstance(points, np.ndarray) and points.dtype.kind == "u"
+        idx = points if unsigned else np.asarray(points, dtype=np.intp)
         bad = idx[(idx < 0) | (idx >= plane.n)]
     except OverflowError:        # beyond intp, so outside the plane as well
         bad = [v for v in points if not 0 <= v < plane.n]
     if len(bad):
         raise ValueError(f"point index {_echo(str(int(bad[0])))} outside [0, {plane.n})")
-    return idx
+    return idx.astype(np.intp, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -160,11 +160,24 @@ class SaturationState:
         if newly_secant.size:
             # two lines through `point` share no other point, so no dupes
             cand = self.plane.line_points[newly_secant].ravel()
-            dying = cand[self.in_unsat[cand]]
+            dies = self.in_unsat[cand]
+            dying = cand[dies]
             if dying.size:
                 self.in_unsat[dying] = False
-                np.subtract.at(self.unsat_on_line,
-                               self.plane.point_lines[dying].ravel(), 1)
+                # count from the smaller side of the new secants
+                if 2 * dying.size <= cand.size:
+                    np.subtract.at(self.unsat_on_line,
+                                   self.plane.point_lines[dying].ravel(), 1)
+                else:
+                    # a line missing `point` meets each of the k new secants
+                    # once, so it loses k points less those that stay there
+                    k = newly_secant.size
+                    stay = cand[~dies & (cand != point)]
+                    np.add.at(self.unsat_on_line,
+                              self.plane.point_lines[stay].ravel(), 1)
+                    self.unsat_on_line -= k
+                    self.unsat_on_line[lines_p] += k   # `point`'s other lines lose none
+                    self.unsat_on_line[newly_secant] = 0
                 removed += int(dying.size)
         self._unsat_total -= removed
         return removed

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from oracles import (check_partition, determined_set, greedy_step, relabelled_pl
 from satset.formulas import sampling_probability
 from satset.plane import _block_rows, canonical_plane, line_hits, on_lines
 from satset.rng import generator_from_seed
-from satset.saturation import (VARIANTS, SaturationState, _covered_mask,
-                               is_saturating, undetermined_count, unsaturated)
+from satset.saturation import (VARIANTS, SaturationState, _covered_mask, complete,
+                               greedy_construct, is_saturating, undetermined_count,
+                               unsaturated)
 
 
 def brute_unsaturated(plane, points):
@@ -353,21 +356,91 @@ def test_bulk_state_on_relabelled_planes(relabelled_planes):
                 assert check_partition(state)
 
 
-@pytest.mark.parametrize("bad", [2**70, -2**70, 2**64])
+def _recounted_add_point(monkeypatch, log):
+    """Make every `add_point` check its line counts against a recount.
+
+    Each call appends to `log` the set of what it saw: the side of the new
+    secants it should count from (dying points at most half of their
+    points, or more), whether the added point was unsaturated or
+    determined, and whether it was the lowest unsaturated point.
+    """
+    add_point = SaturationState.add_point
+
+    def recounted(state, point):
+        plane, seen = state.plane, set()
+        lines = plane.point_lines[point]
+        cand = plane.line_points[lines[state.line_hits[lines] == 1]].ravel()
+        dying = np.count_nonzero(state.in_unsat[cand] & (cand != point))
+        if dying:
+            seen.add("dying side" if 2 * dying <= cand.size else "staying side")
+        seen.add("unsaturated" if state.in_unsat[point] else "determined")
+        if point == np.flatnonzero(state.in_unsat)[0]:
+            seen.add("lowest unsaturated")
+        log.append(seen)
+        removed = add_point(state, point)
+        assert state.unsat_on_line.dtype == np.int64
+        assert np.array_equal(state.unsat_on_line,
+                              line_hits(plane, np.flatnonzero(state.in_unsat)))
+        return removed
+
+    monkeypatch.setattr(SaturationState, "add_point", recounted)
+
+
+def _assert_counts_on_both_sides(monkeypatch, pl):
+    log = []
+    _recounted_add_point(monkeypatch, log)
+    for variant in VARIANTS:
+        greedy_construct(pl, variant)
+    for seed in range(4):
+        complete(SaturationState(pl, _sample(pl, sampling_probability(pl.q), seed)))
+    assert set().union(*log) >= {"dying side", "staying side", "unsaturated", "determined"}
+    # a pair {s1, s2} whose first completion pair (x1, x2) has x1 on <x2, s2>,
+    # so that `complete` adds y = x1, the lowest unsaturated point, itself
+    for s1, s2 in itertools.combinations(range(pl.n), 2):
+        state = SaturationState(pl, [s1, s2])
+        x1, x2 = np.flatnonzero(state.in_unsat)[:2].tolist()
+        if pl.line_through(x1, s2) == pl.line_through(x2, s2):
+            break
+    del log[:]
+    complete(state)
+    assert "lowest unsaturated" in log[0]
+
+
+@pytest.mark.parametrize("q", [4, 16, 64])
+def test_add_point_counts_equal_a_recount_on_both_sides(monkeypatch, q):
+    _assert_counts_on_both_sides(monkeypatch, canonical_plane(q))
+
+
+def test_add_point_counts_equal_a_recount_on_relabelled_planes(monkeypatch,
+                                                              relabelled_planes):
+    for pl in relabelled_planes:
+        _assert_counts_on_both_sides(monkeypatch, pl)
+
+
+@pytest.mark.parametrize("bad", [2**70, -2**70, 2**64, 2**63, 2**64 - 1])
 def test_array_entry_points_reject_indices_beyond_int64(bad):
     # the scalar entry points and the array ones name the same bad point
     pl = canonical_plane(2)
     state = SaturationState(pl, [0, 4])
     expected = f"point index {bad} outside [0, 7)"
-    for call in (lambda: SaturationState(pl, [bad]),
-                 lambda: SaturationState(pl, [1, bad]),
-                 lambda: state.benefits([bad]),
-                 lambda: state.benefits([2, bad, 3]),
-                 lambda: skew_lines(pl, [bad]),
-                 lambda: unsaturated(pl, [bad]),
-                 lambda: unsaturated(pl, {1, bad}),
-                 lambda: state.add_point(bad),
-                 lambda: state.benefits([bad])[0]):
+    calls = [lambda: SaturationState(pl, [bad]),
+             lambda: SaturationState(pl, [1, bad]),
+             lambda: state.benefits([bad]),
+             lambda: state.benefits([2, bad, 3]),
+             lambda: skew_lines(pl, [bad]),
+             lambda: unsaturated(pl, [bad]),
+             lambda: unsaturated(pl, {1, bad}),
+             lambda: state.add_point(bad),
+             lambda: state.benefits([bad])[0]]
+    if 0 <= bad < 2**64:
+        # as a uint64 array, whose cast to intp would wrap 2**63 and up
+        for pts in (np.array([bad], dtype=np.uint64), np.array([1, bad], dtype=np.uint64)):
+            calls += [lambda pts=pts: SaturationState(pl, pts),
+                      lambda pts=pts: state.benefits(pts),
+                      lambda pts=pts: skew_lines(pl, pts),
+                      lambda pts=pts: unsaturated(pl, pts),
+                      lambda pts=pts: is_saturating(pl, pts)]
+    for call in calls:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == expected
