@@ -14,7 +14,7 @@ from .formulas import (contraction_product, default_step_cap,
 from .saturation import (RandomTrialStats, SaturationState, StepRecord,
                          VerificationError, complete, greedy_construct,
                          is_saturating, minsat_bruteforce, monte_carlo_expectation,
-                         random_construct, undetermined_count, unsaturated)
+                         random_construct, unsaturated)
 from .baer import BaerEmbedding, baer_subplane, three_subline_construction
 from .hypergraph import (SetFamily, TransversalResult,
                          check_uniform_intersecting, greedy_transversal,

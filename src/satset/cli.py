@@ -83,13 +83,8 @@ def _resolve_plane(args, parser) -> ProjectivePlane:
         parser.error("exactly one of --q and --plane is required")
     if args.q is not None:
         return canonical_plane(_plane_order(args.q, parser))
-    return _load_plane(args.plane, parser)
-
-
-def _load_plane(path: str, parser) -> ProjectivePlane:
-    """load_plane, with a file it cannot read or accept refused as a usage error."""
     try:
-        return load_plane(path)
+        return load_plane(args.plane)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot load plane file: {exc}")
 
@@ -254,7 +249,7 @@ def cmd_hypergraph(args, parser) -> int:
                    rng.choice(pl.n, size=args.s0_size, replace=False))
     family = hypergraph.saturation_family(pl, seed_set)
     result = hypergraph.greedy_transversal(family)
-    augmented = hypergraph.augmented_set(pl, seed_set, result)
+    augmented = saturation._proven(pl, seed_set | set(result.vertices))
     print(f"q={pl.q} n={pl.n} s0_size={args.s0_size} seed={args.seed}")
     print("s0=" + " ".join(str(v) for v in sorted(seed_set)))
     print(f"m={len(family)}")
@@ -274,10 +269,11 @@ def cmd_hypergraph(args, parser) -> int:
           f"bound={bound if bound is not None else 'NA'}")
     if bound is not None:
         ok &= len(result.vertices) <= bound
-        degree_floor = 1 + -(-t * len(family) // r)
+        # over any edge H, the sum of deg(v) for v in H is at least r + t(m-1)
+        degree_floor = 1 + -(-t * (len(family) - 1) // r)
         print(f"first_pick_degree={result.covered_counts[0]} floor={degree_floor}")
         ok &= result.covered_counts[0] >= degree_floor
-    # augmented_set proved it, so saturating is always True here
+    # _proven proved it, so saturating is always True here
     print(f"augmented_size={len(augmented)} saturating=True")
     return 0 if ok else 1
 

@@ -53,7 +53,7 @@ def expected_unsaturated(q: int, p: float) -> float:
     Exactly (q^2+q+1) (1-p)^(q^2+q+1) ( p/(1-p) + (1 + q p/(1-p))^(q+1) ).
     The first summand is the event that the point itself is the only
     sampled point anywhere, so a point of a singleton sample counts as
-    undetermined here (see `saturation.undetermined_count`).
+    undetermined here (see `saturation.monte_carlo_expectation`).
     """
     _check_order(q)
     _check_probability(p)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .formulas import _precise_ceil
 from .plane import ProjectivePlane, join_rows
-from .saturation import _proven, unsaturated
+from .saturation import unsaturated
 
 # Largest family `saturation_family` builds, in bytes of its bool incidence
 # matrix, the float32 copy the Gram product reads and the m x m product.
@@ -95,7 +95,7 @@ def saturation_family(plane: ProjectivePlane, seed_set: Iterable[int]) -> SetFam
     rows = np.arange(m)[:, None, None]
     members[rows, plane.line_points[join_rows(plane, s0)[:, missing].T]] = True
     members[:, s0] = False
-    return SetFamily(members, tuple(missing) or None)
+    return SetFamily(members, tuple(missing))
 
 
 def pairwise_intersection_sizes(family: SetFamily) -> list[int]:
@@ -182,14 +182,3 @@ def greedy_transversal(family: SetFamily) -> TransversalResult:
         uncovered &= ~newly
     assert incidence[:, picks].any(axis=1).all()
     return TransversalResult(picks, covered_counts)
-
-
-def augmented_set(plane: ProjectivePlane, seed_set: Iterable[int],
-                  result: TransversalResult) -> set[int]:
-    """S0 plus a transversal of its saturation family, proven saturating.
-
-    Raises `saturation.VerificationError` when the independent recount
-    finds an unsaturated point.
-    """
-    return _proven(plane, set(int(v) for v in seed_set) | set(result.vertices))
-

@@ -30,12 +30,6 @@ SAMPLE_BYTES_CAP = 1 << 31
 # verification
 # ---------------------------------------------------------------------------
 
-def _point_mask(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
-    mask = np.zeros(plane.n, dtype=bool)
-    mask[_point_indices(plane, points)] = True
-    return mask
-
-
 def _covered_mask(plane: ProjectivePlane, mask: np.ndarray) -> np.ndarray:
     """Points lying on some line with >= 2 marked points.
 
@@ -48,20 +42,9 @@ def _covered_mask(plane: ProjectivePlane, mask: np.ndarray) -> np.ndarray:
 
 def unsaturated(plane: ProjectivePlane, points: Iterable[int]) -> set[int]:
     """Points outside the set with no line through them carrying two set points."""
-    mask = _point_mask(plane, points)
+    mask = np.zeros(plane.n, dtype=bool)
+    mask[_point_indices(plane, points)] = True
     return set(np.flatnonzero(~_covered_mask(plane, mask) & ~mask).tolist())
-
-
-def undetermined_count(plane: ProjectivePlane, points: Iterable[int]) -> int:
-    """Number of points on no 2-secant of the set, the set's own members included.
-
-    This differs from len(unsaturated(...)) only when the set has fewer than
-    two points: a singleton determines no line, so its lone member is itself
-    undetermined here, while `unsaturated` always excludes set members.
-    This is the count whose expectation `formulas.expected_unsaturated` gives.
-    """
-    mask = _point_mask(plane, points)
-    return int(plane.n - _covered_mask(plane, mask).sum())
 
 
 def is_saturating(plane: ProjectivePlane, points: Iterable[int]) -> bool:
@@ -404,7 +387,6 @@ class RandomTrialStats:
     + startup_additions (the latter only when fewer than two points were
     sampled).
     """
-    seed: int
     sample_size: int
     unsaturated_size: int
     startup_additions: int
@@ -433,8 +415,7 @@ def random_construct(plane: ProjectivePlane, seed: int,
     # Y leaves out the sample itself, so it is n - |X| when |X| < 2
     x_size, y_size = state.size, state.unsat_count
     final = _proven(plane, complete(state))
-    stats = RandomTrialStats(seed=seed, sample_size=x_size,
-                             unsaturated_size=y_size,
+    stats = RandomTrialStats(sample_size=x_size, unsaturated_size=y_size,
                              startup_additions=max(0, 2 - x_size),
                              final_size=len(final))
     return final, stats
@@ -458,9 +439,9 @@ def monte_carlo_expectation(plane: ProjectivePlane, p: float, trials: int,
     """Empirical mean and standard error of the undetermined-point count.
 
     Each trial samples every point with probability p from its own
-    (seed, trial) stream and counts points on no 2-secant of the sample
-    (the `undetermined_count` semantics, so the mean is comparable to
-    `formulas.expected_unsaturated`).  A trial count whose samples exceed
+    (seed, trial) stream and counts the points on no 2-secant of the
+    sample, its own members included, so the mean is comparable to
+    `formulas.expected_unsaturated`.  A trial count whose samples exceed
     `SAMPLE_BYTES_CAP` is refused before any allocation.
     """
     if trials < 1:

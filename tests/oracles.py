@@ -1,6 +1,6 @@
-"""Test-side helpers: one greedy step, set views of a state, skew lines,
-relabelled planes, set families from vertex sets and the per-row,
-per-point plane validator.
+"""Test-side helpers: one greedy step, set views of a state, the
+undetermined count, skew lines, relabelled planes, set families from
+vertex sets and the per-row, per-point plane validator.
 
 No command or construction needs these, so they live beside the tests,
 where each serves as an independent view of the library's state.
@@ -11,7 +11,7 @@ import numpy as np
 from satset.hypergraph import SetFamily
 from satset.plane import (ProjectivePlane, ValidationReport, _point_indices,
                           canonical_plane, line_hits, load_plane, save_plane)
-from satset.saturation import _apply, _select, unsaturated
+from satset.saturation import _apply, _covered_mask, _select, unsaturated
 
 
 def greedy_step(state, variant="skew"):
@@ -33,6 +33,18 @@ def check_partition(state):
     if np.any(s & r) or int(s.sum() + d.sum() + r.sum()) != state.plane.n:
         return False
     return unsaturated_set(state) == unsaturated(state.plane, state.chosen)
+
+
+def undetermined_count(plane, points):
+    """Points on no 2-secant of the set, the set's own members included.
+
+    This is the count whose expectation `formulas.expected_unsaturated`
+    gives; it differs from len(unsaturated(...)) only for fewer than two
+    points, where a singleton's lone member is itself undetermined.
+    """
+    mask = np.zeros(plane.n, dtype=bool)
+    mask[_point_indices(plane, points)] = True
+    return int(plane.n - _covered_mask(plane, mask).sum())
 
 
 def skew_lines(plane, points):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import satset as ss
+from oracles import undetermined_count
 from satset.gf import factor_prime_power
 
 GREEDY_SWEEP_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 19, 23, 25, 27, 32,
@@ -87,7 +88,7 @@ def test_criterion_03_exact_expectation():
     half = Fraction(1, 2)
     for size in range(8):
         for combo in combinations(range(7), size):
-            total += (half ** 7) * ss.undetermined_count(plane, combo)
+            total += (half ** 7) * undetermined_count(plane, combo)
     formula = ss.expected_unsaturated(2, 0.5)
     exact_ok = (abs(float(total) - formula) <= 1e-12
                 and abs(formula - 1.53125) <= 1e-12)

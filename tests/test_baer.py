@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from satset import baer
 from satset.baer import baer_subplane, three_subline_construction
 from satset.plane import canonical_plane, load_plane, save_plane, validate_axioms
 from satset.saturation import is_saturating
@@ -54,6 +55,22 @@ def test_rejects_non_square_and_loaded_planes(tmp_path):
     save_plane(pl, tmp_path / "p.txt")
     with pytest.raises(ValueError):
         baer_subplane(load_plane(tmp_path / "p.txt"))
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_a_non_baer_line_count_is_refused(monkeypatch, count):
+    # one tangent of the q=9 subplane reported as meeting it in 2 points,
+    # or in s+1 = 4 like a subplane line it is not
+    original = baer.line_hits
+
+    def corrupted(plane, points):
+        meets = original(plane, points)
+        meets[np.flatnonzero(meets == 1)[0]] = count
+        return meets
+
+    monkeypatch.setattr(baer, "line_hits", corrupted)
+    with pytest.raises(AssertionError, match="not a Baer subplane"):
+        baer_subplane(canonical_plane(9))
 
 
 @pytest.mark.parametrize("q,s", [(4, 2), (9, 3), (16, 4), (25, 5)])

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -359,7 +360,7 @@ def test_hypergraph_command(capsys):
 # sha256 of the `hypergraph` stdout; q=25 seed 1701 has a collinear triple
 # in s0 (m=462), seed 1702 is in general position (m=421; m=2070 at q=49)
 HYPERGRAPH_SHA256 = {
-    (9, 4, 3): "9b9818bd6913a750a4479090c3242573cddc2af4c5ff777caeef23227b7ecae5",
+    (9, 4, 3): "e6aa5f349ff4189a84bb8c4cf02789c5c8646db623d479cd958c6e40a0341767",
     (25, 5, 1701): "b8f74ad82b0906f7c5257ae64ef468eb4420a112146b65ce7a6c7d0e8dabf7de",
     (25, 5, 1702): "d27093add1c7bbc50199818e489f89997de8b3df79ba5e3581c717eafd6ce4b2",
     (49, 5, 1702): "281e00fd4b76126b3389c2c73a2b9e755bad6707947fe0464d65d3073523a06c",
@@ -372,6 +373,24 @@ def test_hypergraph_golden_digest(capsys, q, s0_size, seed):
                              "--seed", str(seed)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == HYPERGRAPH_SHA256[q, s0_size, seed]
+
+
+def test_hypergraph_first_pick_meets_the_double_count_floor(capsys):
+    # over any edge H, the degrees of H's vertices sum to at least
+    # r + t(m-1), so the first pick covers 1 + ceil(t(m-1)/r) edges or more
+    for q in (2, 3, 4, 5, 7):
+        for s0_size in (2, 3, 4):
+            for seed in range(4):
+                code, out = run(capsys, ["hypergraph", "--q", str(q), "--s0-size",
+                                         str(s0_size), "--seed", str(seed)])
+                assert code == 0, out
+                fields = dict(tok.split("=", 1) for tok in out.split() if "=" in tok)
+                if "floor" not in fields:        # m < 2: no bound to meet
+                    continue
+                m, r, t = int(fields["m"]), int(fields["r"]), int(fields["t"])
+                assert int(fields["floor"]) == 1 + math.ceil(t * (m - 1) / r)
+                assert int(fields["first_pick_degree"]) >= int(fields["floor"])
+                assert int(fields["transversal_size"]) <= int(fields["bound"])
 
 
 def test_plane_gen_and_check(capsys, tmp_path):

@@ -11,12 +11,12 @@ import mpmath
 import pytest
 
 import satset
+from oracles import undetermined_count
 from satset.formulas import (_precise_ceil, contraction_product, default_step_cap,
                              expected_unsaturated, expected_unsaturated_main_term,
                              lunelli_sce_bound, sampling_probability,
                              theorem_bound)
 from satset.plane import canonical_plane
-from satset.saturation import undetermined_count
 
 
 def test_sampling_probability_values():

@@ -45,6 +45,8 @@ def test_saturating_seed_gives_empty_family():
     pl = canonical_plane(2)
     fam = saturation_family(pl, {0, 4, 5, 6})
     assert len(fam) == 0
+    assert fam.labels == ()
+    assert intersection_lemma_holds(pl, fam, {0, 4, 5, 6})
 
 
 def test_edge_sizes_formula():

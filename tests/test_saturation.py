@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import (check_partition, determined_set, greedy_step, relabelled_plane,
-                     skew_lines, unsaturated_set)
+                     skew_lines, undetermined_count, unsaturated_set)
 from satset.formulas import sampling_probability
 from satset.plane import _block_rows, canonical_plane, line_hits, on_lines
 from satset.rng import generator_from_seed
 from satset.saturation import (VARIANTS, SaturationState, _covered_mask, complete,
-                               greedy_construct, is_saturating, undetermined_count,
-                               unsaturated)
+                               greedy_construct, is_saturating, unsaturated)
 
 
 def brute_unsaturated(plane, points):

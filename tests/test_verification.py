@@ -91,7 +91,7 @@ def test_hypergraph_exits_1_when_the_recount_fails(capsys, monkeypatch):
     result = hypergraph.greedy_transversal(hypergraph.saturation_family(pl, seed_set))
     _report_missing_point(monkeypatch)
     with pytest.raises(saturation.VerificationError):
-        hypergraph.augmented_set(pl, seed_set, result)
+        saturation._proven(pl, seed_set | set(result.vertices))
     assert main(HYPERGRAPH_ARGV) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
