@@ -109,17 +109,20 @@ class ProjectivePlane:
         """The lines through each point, ascending: one sort of keys point*n + line.
 
         Entry for entry this is a stable argsort of the entries grouped by
-        point.  Raises unless every point lies on exactly q+1 lines, that is
-        unless each sorted key less n times its slot's point lies in [0, n).
+        point.  The keys are int32 while n*n fits (n <= 46340, q <= 214),
+        which halves the bytes sorted, and int64 above.  Raises unless every
+        point lies on exactly q+1 lines, that is unless each sorted key less
+        n times its slot's point lies in [0, n).
         """
-        owner = np.repeat(np.arange(n, dtype=np.int64), q + 1)
-        keys = np.multiply(line_points.ravel(), n, dtype=np.int64)
+        key_type = np.int32 if n * n <= 1 << 31 else np.int64
+        owner = np.repeat(np.arange(n, dtype=key_type), q + 1)
+        keys = np.multiply(line_points.ravel(), n, dtype=key_type)
         keys += owner
         keys.sort()
         lines = np.subtract(keys, np.multiply(owner, n, out=owner), out=owner)
         if lines.min() < 0 or lines.max() >= n:
             raise ValueError("some point is not on exactly q+1 lines")
-        return lines.astype(np.int32).reshape(n, q + 1)
+        return lines.astype(np.int32, copy=False).reshape(n, q + 1)
 
     def __eq__(self, other):
         # round-trip identity ignores the origin tag
@@ -232,23 +235,23 @@ def validate_axioms(rows, q: int) -> ValidationReport:
     q+1 lines through p hold (q+1)q = n-1 slots besides p, one for each
     other point, so their union is every point exactly when every pair
     (p, x) has exactly one common line.  Up to `_BIT_CHECK_POINTS` points
-    the lines are packed into n-bit rows, and the points are taken in
-    blocks of 512: each block's cover is one 512-row buffer into which
-    the rows of its points' lines are ORed column by column.  A pair
-    needs checking from one side only, so the block [s, s+512) ORs only
-    the words from s >> 6 onward.  The first point the count fails, p*,
-    misses some x0 > p* (an x0 < p* would fail first), a bit its block
-    keeps, while every earlier point covers all n points; so the first
-    point the bits refuse is p*, and the per-point count, run from p*,
-    names the same pair.  Larger planes take the count alone.
+    (q <= 151, a bit table of 64 MiB at most) the lines are packed into
+    n-bit rows, and the points are taken in blocks of 512: each block's
+    cover is one 512-row buffer into which the rows of its points' lines
+    are ORed column by column.  A pair needs checking from one side only,
+    so the block [s, s+512) ORs only the words from s >> 6 onward.  The
+    first point the count fails, p*, misses some x0 > p* (an x0 < p*
+    would fail first), a bit its block keeps, while every earlier point
+    covers all n points; so the first point the bits refuse is p*, and
+    the per-point count, run from p*, names the same pair.  Larger planes (q >= 157) take the count alone.
     """
     failure, _, _ = _check_axioms(rows, q)
     return ValidationReport(failure is None, [] if failure is None else [failure])
 
 
 # Most points a plane may have for its pair check to use packed bit rows:
-# the n x n bit table is then at most 8 MiB (q <= 89).
-_BIT_CHECK_POINTS = 1 << 13
+# the largest n whose n x ceil(n/64) uint64 table fits in 64 MiB (q <= 151).
+_BIT_CHECK_POINTS = 23168
 
 
 def _check_axioms(rows, q: int) -> tuple[str | None, np.ndarray | None, np.ndarray | None]:
@@ -322,27 +325,35 @@ def _is_integer(value) -> bool:
 def _first_uncovered_block(table: np.ndarray, point_lines: np.ndarray, n: int) -> int:
     """The first point the packed cover check refuses, or n.
 
-    Line j becomes an n-bit row, packed in blocks of 256 lines, with bit x
-    set when x is on it; the padding bits past n (n is odd, so the last
-    word has some) are set in every row.  Points are taken 512 at a time:
-    the cover of the block [s, s+512) starts as the rows, from word s >> 6
-    on, of each point's first line, and each further column of its
-    `point_lines` rows is ORed into it in place, so one 512-row buffer is
-    all the scan holds.  A point passes when every bit of its cover is
-    set.  This is the first point p* the per-point count refuses: every
-    earlier point covers all n points, and p* misses some x0 > p* (an
-    x0 < p* would itself fail first), a bit at or past word s >> 6 of
-    its block.
+    Line j becomes an n-bit row with bit x set when x is on it; the
+    padding bits past n (n is odd, so the last word has some) are set in
+    every row.  Rows are packed 256 lines at a time through one reused
+    bool buffer, a whole number of words wide, whose padding columns are
+    set once: each block clears its n columns, sets its points with one
+    flat scatter at intp indices row * width + point, and `packbits`
+    writes it straight into the block's rows of the table.  Points are
+    taken 512 at a time: the cover of the block [s, s+512) starts as the
+    rows, from word s >> 6 on, of each point's first line, and each
+    further column of its `point_lines` rows is ORed into it in place,
+    so one 512-row buffer is all the scan holds.  A point passes when
+    every bit of its cover is set.  This is the first point p* the
+    per-point count refuses: every earlier point covers all n points, and
+    p* misses some x0 > p* (an x0 < p* would itself fail first), a bit at
+    or past word s >> 6 of its block.
     """
     words = -(-n // 64)
-    bits = np.zeros((n, words), dtype="<u8")
-    bits[:, -1] = ~np.uint64(0) << np.uint64(n % 64)
+    width = 64 * words
+    bits = np.empty((n, words), dtype="<u8")
     as_bytes = bits.view(np.uint8)
+    on = np.zeros((256, width), dtype=bool)
+    on[:, n:] = True
+    offsets = np.arange(0, 256 * width, width, dtype=np.intp)[:, None]
     for s in range(0, n, 256):
         lines = table[s:s + 256]
-        on = np.zeros((len(lines), n), dtype=bool)
-        on[np.arange(len(lines))[:, None], lines] = True
-        as_bytes[s:s + 256, :-(-n // 8)] |= np.packbits(on, axis=1, bitorder="little")
+        block = on[:len(lines)]
+        block[:, :n] = False
+        on.ravel()[np.add(lines, offsets[:len(lines)], dtype=np.intp).ravel()] = True
+        as_bytes[s:s + 256] = np.packbits(block, axis=1, bitorder="little")
     for s in range(0, n, 512):
         lines = point_lines[s:s + 512]
         cover = bits[lines[:, 0], s >> 6:]
@@ -529,11 +540,19 @@ def _raise_first_row_failure(data: list[str], q: int) -> NoReturn:
         if row_text != row_text.strip():
             raise ValueError(f"line {j}: leading or trailing whitespace")
         tokens = row_text.split(" ")
-        digits = (tok[1:] if tok[:1] in ("+", "-") else tok for tok in tokens)
-        if not all(d.isascii() and d.isdigit() for d in digits):
+        if not all(map(_is_decimal, tokens)):
             raise ValueError(f"line {j}: non-integer token")
         rows.append([int(tok) for tok in tokens])
     raise PlaneAxiomError("axiom failure: " + _check_axioms(rows, q)[0])
+
+
+def _is_decimal(token: str) -> bool:
+    """Whether a token is ASCII decimal digits after at most one leading sign.
+
+    `int` takes more: underscores between digits and non-ASCII digits.
+    """
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    return digits.isascii() and digits.isdigit()
 
 
 def save_point_set(points: Iterable[int], destination) -> None:
@@ -543,13 +562,19 @@ def save_point_set(points: Iterable[int], destination) -> None:
 
 
 def load_point_set(source) -> set[int]:
-    """Read a point-set file: ascending indices, ``#`` comments allowed."""
+    """Read a point-set file: ascending indices, ``#`` comments allowed.
+
+    An index is an ASCII decimal integer with at most one sign, as in a
+    plane file; a negative one is left for the caller's range check.
+    """
     values = []
     for ln, raw in enumerate(Path(source).read_text().split("\n"), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
         try:
+            if not _is_decimal(body):
+                raise ValueError
             v = int(body)
         except ValueError:
             raise ValueError(f"line {ln}: expected a point index, "

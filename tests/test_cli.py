@@ -292,6 +292,14 @@ def test_verify_malformed_points(capsys, tmp_path):
     assert run_error(capsys, ["verify", "--q", "2", "--points", str(path)]) == 2
     path.write_text("5\n900\n")
     assert run_error(capsys, ["verify", "--q", "2", "--points", str(path)]) == 2
+    # int() reads these as 10 and 33; a point-set file does not
+    for bad in ("1_0", "\u0663\u0663"):
+        path.write_text(f"0\n{bad}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--q", "7", "--points", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot load point set: line 2: expected a point index, got {bad!r}" in err
 
 
 def test_verify_rejects_negative_index(capsys, tmp_path):

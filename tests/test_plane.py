@@ -253,9 +253,16 @@ def test_point_set_files(tmp_path):
     path.write_text("3\n1\n")
     with pytest.raises(ValueError, match="ascending"):
         load_point_set(path)
-    path.write_text("3\nx\n")
-    with pytest.raises(ValueError):
-        load_point_set(path)
+    # int() reads the first four as 10, 33, 5 and 7; a point-set file, like a plane
+    # file, takes only ASCII decimal digits after one optional sign
+    for bad in ("1_0", "\u0663\u0663", "+0_5", "\uff17", "--1", "+-1", "1 2", "0x1", "x"):
+        path.write_text(f"0\n{bad}\n")
+        with pytest.raises(ValueError) as info:
+            load_point_set(path)
+        assert str(info.value) == f"line 2: expected a point index, got {bad!r}"
+    # one leading sign is kept; a negative index is left to the range check
+    path.write_text("-1\n+3\n007\n")
+    assert load_point_set(path) == {-1, 3, 7}
 
 
 def test_build_pg2_needs_tables():
@@ -775,6 +782,46 @@ def test_bit_cover_check_matches_the_count_oracle(q, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(plane, "_BIT_CHECK_POINTS", 0)       # the count loop alone
             assert validate_axioms(rows, q) == expect
+
+
+def _write_rows(path, q, rows):
+    path.write_text("\n".join([plane.PLANE_HEADER, f"q={q}"]
+                              + [" ".join(map(str, row)) for row in rows.tolist()]) + "\n")
+
+
+def test_bit_cover_check_above_2_13_points(tmp_path, monkeypatch):
+    q = 97
+    n = q * q + q + 1
+    assert 1 << 13 < n <= plane._BIT_CHECK_POINTS
+    rng = np.random.default_rng(1097)
+    rows = _relabelled_rows(q, rng)
+    path = tmp_path / "p97.txt"
+    _write_rows(path, q, rows)
+    assert np.array_equal(load_plane(path).point_lines, reference_invert(rows, n, q))
+    # a swapped point keeps line sizes and point degrees, so only the pair check fails
+    for low in (None, n - 2 * q):
+        bad = _swapped_rows(q, rng, low)
+        first = plane._first_uncovered_block(bad, ProjectivePlane._invert(bad, n, q), n)
+        assert first < n and low in (None, first)
+        _write_rows(path, q, bad)
+        with pytest.raises(PlaneAxiomError) as packed:
+            load_plane(path)
+        assert str(packed.value).startswith(f"axiom failure: unique meet: points {first} and ")
+        with monkeypatch.context() as m:
+            m.setattr(plane, "_BIT_CHECK_POINTS", 0)       # the count loop alone
+            with pytest.raises(PlaneAxiomError) as counted:
+                load_plane(path)
+        assert str(packed.value) == str(counted.value)
+
+
+@pytest.mark.parametrize("n", [46340, 46341])
+def test_invert_keys_on_both_sides_of_int32(n):
+    # the largest n whose keys point*n + line fit in int32, and the next, which
+    # takes int64 keys: row j is {j, j+1 mod n}, so every point lies on two rows
+    assert (n * n - 1 <= np.iinfo(np.int32).max) == (n == 46340)
+    j = np.arange(n, dtype=np.int32)
+    rows = np.sort(np.stack([j, (j + 1) % n], axis=1), axis=1)
+    assert np.array_equal(ProjectivePlane._invert(rows, n, 1), reference_invert(rows, n, 1))
 
 
 def test_invert_matches_a_stable_argsort(tmp_path):
