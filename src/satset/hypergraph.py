@@ -92,8 +92,9 @@ def saturation_family(plane: ProjectivePlane, seed_set: Iterable[int]) -> SetFam
         raise ValueError(f"saturation family of {m} edges over {n} points needs {needed >> 20} "
                          f"MiB, above the {FAMILY_BYTES_CAP >> 20} MiB ceiling")
     members = np.zeros((m, n), dtype=bool)
-    rows = np.arange(m)[:, None, None]
-    members[rows, plane.line_points[join_rows(plane, s0)[:, missing].T]] = True
+    points = plane.line_points[join_rows(plane, s0)[:, missing].T]     # (m, |S0|, q+1)
+    starts = np.arange(0, m * n, n, dtype=np.intp)[:, None, None]
+    members.ravel()[np.add(points, starts, dtype=np.intp).ravel()] = True
     members[:, s0] = False
     return SetFamily(members, tuple(missing))
 
@@ -109,7 +110,7 @@ def check_uniform_intersecting(family: SetFamily) -> tuple[int | None, int | Non
     r is None unless every edge has the same size; t is None unless the
     family has at least two edges.  t is always computed, never trusted.
     """
-    sizes = family.incidence.sum(axis=1)
+    sizes = np.add.reduce(family.incidence.view(np.uint8), axis=1, dtype=np.int32)
     r = int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else None
     # the whole matrix has the off-diagonal minimum: a diagonal entry
     # |H_i| bounds |H_i ∩ H_j| from above along its row
@@ -123,18 +124,33 @@ def intersection_lemma_holds(plane: ProjectivePlane, family: SetFamily,
 
     The prediction comes from the line joining the labels x_i and x_j:
     k(k-1) when it misses S0 (|S0| = k), (k-1)(k-2)+q when it meets S0.
-    It is compared against intersections counted from the edges, so the
-    two sides come from independent data.
+    That line meets s in S0 when the joins <s, x_i> and <s, x_j> agree, so
+    the meeting pairs are the equal neighbours, 1, 2, ... places apart, of
+    the sorted keys s·n + <s, x_i>.  The prediction is compared against
+    intersections counted from the edges, so the two sides come from
+    independent data.
     """
     if family.labels is None:
         raise ValueError("the lemma check needs a labelled family (one label per edge)")
     s0 = sorted(set(int(v) for v in seed_set))
-    k, q = len(s0), plane.q
-    meets = np.zeros((len(family), len(family)), dtype=bool)
-    for line in join_rows(plane, s0)[:, list(family.labels)]:   # x_i, x_j, s collinear
-        meets |= line[:, None] == line
-    gram = family.intersections
-    holds = np.where(meets, gram == (k - 1) * (k - 2) + q, gram == k * (k - 1))
+    k, m, n = len(s0), len(family), plane.n
+    keys = join_rows(plane, s0)[:, list(family.labels)].astype(np.int64)
+    keys += np.arange(0, k * n, n, dtype=np.int64)[:, None]
+    order = np.argsort(keys, axis=None)
+    ranked = np.append(keys.ravel()[order], -1)         # -1 ends the last run
+    label = order % m
+    row = label * m
+    miss, meet = k * (k - 1), (k - 1) * (k - 2) + plane.q
+    expected = np.full((m, m), miss, dtype=np.min_scalar_type(max(miss, meet)))
+    flat = expected.ravel()
+    step, first = 1, np.flatnonzero(ranked[1:] == ranked[:-1])
+    while first.size:               # keys equal `step` places apart
+        second = first + step
+        flat[row[first] + label[second]] = meet
+        flat[row[second] + label[first]] = meet
+        step += 1
+        first = first[ranked[second + 1] == ranked[first]]
+    holds = family.intersections == expected
     np.fill_diagonal(holds, True)
     return bool(holds.all())
 
@@ -167,7 +183,8 @@ def greedy_transversal(family: SetFamily) -> TransversalResult:
     raises ValueError naming the first one.
     """
     incidence = family.incidence
-    degree = incidence.sum(axis=0, dtype=np.int64)
+    counts = incidence.view(np.uint8)            # sums into int32 with no int64 cast pass
+    degree = np.add.reduce(counts, axis=0, dtype=np.int32)
     uncovered = np.ones(len(family), dtype=bool)
     picks: list[int] = []
     covered_counts: list[int] = []
@@ -178,7 +195,7 @@ def greedy_transversal(family: SetFamily) -> TransversalResult:
         newly = uncovered & incidence[:, v]
         picks.append(v)
         covered_counts.append(int(newly.sum()))
-        degree -= incidence[newly].sum(axis=0, dtype=np.int64)
+        degree -= np.add.reduce(counts[newly], axis=0, dtype=np.int32)
         uncovered &= ~newly
     assert incidence[:, picks].any(axis=1).all()
     return TransversalResult(picks, covered_counts)

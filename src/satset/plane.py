@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import io
 import itertools
+import string
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -565,11 +566,12 @@ def load_point_set(source) -> set[int]:
     """Read a point-set file: ascending indices, ``#`` comments allowed.
 
     An index is an ASCII decimal integer with at most one sign, as in a
-    plane file; a negative one is left for the caller's range check.
+    plane file; a negative one is left for the caller's range check.  Only
+    ASCII whitespace around it is dropped, so a no-break space is refused.
     """
     values = []
     for ln, raw in enumerate(Path(source).read_text().split("\n"), start=1):
-        body = raw.split("#", 1)[0].strip()
+        body = raw.split("#", 1)[0].strip(string.whitespace)
         if not body:
             continue
         try:

@@ -1,6 +1,7 @@
 """Test-side helpers: one greedy step, set views of a state, the
 undetermined count, skew lines, relabelled planes, set families from
-vertex sets and the per-row, per-point plane validator.
+vertex sets, the broadcast lemma check and the per-row, per-point plane
+validator.
 
 No command or construction needs these, so they live beside the tests,
 where each serves as an independent view of the library's state.
@@ -10,7 +11,8 @@ import numpy as np
 
 from satset.hypergraph import SetFamily
 from satset.plane import (ProjectivePlane, ValidationReport, _point_indices,
-                          canonical_plane, line_hits, load_plane, save_plane)
+                          canonical_plane, join_rows, line_hits, load_plane,
+                          save_plane)
 from satset.saturation import _apply, _covered_mask, _select, unsaturated
 
 
@@ -78,6 +80,24 @@ def edge_family(ground_size, edges, labels=None):
     for k, edge in enumerate(edges):
         incidence[k, edge] = True
     return SetFamily(incidence, labels)
+
+
+def reference_lemma_holds(plane, family, seed_set):
+    """`intersection_lemma_holds` from one m x m compare per seed point.
+
+    Labels x_i and x_j meet S0 on their line when some s in S0 has the
+    same join to both; the Gram matrix must hold (k-1)(k-2)+q there and
+    k(k-1) elsewhere off the diagonal.
+    """
+    s0 = sorted(set(int(v) for v in seed_set))
+    k, q = len(s0), plane.q
+    meets = np.zeros((len(family), len(family)), dtype=bool)
+    for line in join_rows(plane, s0)[:, list(family.labels)]:   # x_i, x_j, s collinear
+        meets |= line[:, None] == line
+    gram = family.intersections
+    holds = np.where(meets, gram == (k - 1) * (k - 2) + q, gram == k * (k - 1))
+    np.fill_diagonal(holds, True)
+    return bool(holds.all())
 
 
 def reference_invert(line_points, n, q):

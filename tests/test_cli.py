@@ -292,8 +292,9 @@ def test_verify_malformed_points(capsys, tmp_path):
     assert run_error(capsys, ["verify", "--q", "2", "--points", str(path)]) == 2
     path.write_text("5\n900\n")
     assert run_error(capsys, ["verify", "--q", "2", "--points", str(path)]) == 2
-    # int() reads these as 10 and 33; a point-set file does not
-    for bad in ("1_0", "\u0663\u0663"):
+    # int() reads the first two as 10 and 33, and str.strip() drops the
+    # no-break and ideographic spaces; a point-set file does neither
+    for bad in ("1_0", "\u0663\u0663", "\u00a05", "\u30006"):
         path.write_text(f"0\n{bad}\n")
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--q", "7", "--points", str(path)])

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import edge_family, relabelled_plane
+from oracles import edge_family, reference_lemma_holds, relabelled_plane
 from satset import hypergraph
 from satset.cli import main
 from satset.hypergraph import (SetFamily, check_uniform_intersecting,
@@ -162,6 +162,16 @@ def test_greedy_transversal_covers_disjoint_edges():
         assert any(v in e for v in res.vertices)
 
 
+def test_degrees_and_sizes_above_255():
+    # vertex 0 is in all 300 edges and every edge has 300 vertices; a uint8
+    # sum would read 44 for both and pick a window vertex of degree 255
+    edges = [{0} | set(range(1 + k, 300 + k)) for k in range(300)]
+    fam = edge_family(600, edges)
+    res = greedy_transversal(fam)
+    assert res.vertices == [0] and res.covered_counts == [300]
+    assert check_uniform_intersecting(fam) == (300, 1)
+
+
 def test_empty_edge_rejected():
     # the transversal refuses it: no pick can cover an empty edge
     for ground, edges, name in ((0, ((), ()), "edge 0"), (4, ((),), "edge 0"),
@@ -266,6 +276,115 @@ def test_intersection_lemma_holds_and_detects_a_perturbed_edge():
     perturbed = edge_family(fam.ground_size, fam.edges[:-1] + (swapped,), fam.labels)
     assert check_uniform_intersecting(perturbed)[0] == len(edge)
     assert not intersection_lemma_holds(pl, perturbed, seed_set)
+
+
+def lemma_cases():
+    """(plane, family, seed set) over q <= 16 and |S0| 2-6, two seeds each."""
+    rng = np.random.default_rng(29)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        pl = canonical_plane(q)
+        for size in range(2, 7):
+            for _ in range(2):
+                seed_set = set(int(v) for v in rng.choice(pl.n, size=size, replace=False))
+                yield pl, saturation_family(pl, seed_set), seed_set
+
+
+def test_lemma_check_matches_the_broadcast_reference():
+    checked = 0
+    for pl, fam, seed_set in lemma_cases():
+        assert intersection_lemma_holds(pl, fam, seed_set)
+        assert reference_lemma_holds(pl, fam, seed_set)
+        checked += len(fam) >= 2
+    assert checked > 80
+
+
+@pytest.mark.parametrize("q,size", [(4, 3), (8, 5)])
+def test_lemma_check_where_the_two_cases_coincide(q, size):
+    # k(k-1) = (k-1)(k-2)+q when q = 2(k-1): every pair predicts one value
+    pl = canonical_plane(q)
+    rng = np.random.default_rng(q)
+    for _ in range(6):
+        seed_set = set(int(v) for v in rng.choice(pl.n, size=size, replace=False))
+        fam = saturation_family(pl, seed_set)
+        assert intersection_lemma_holds(pl, fam, seed_set)
+        assert reference_lemma_holds(pl, fam, seed_set)
+        off_diagonal = fam.intersections[~np.eye(len(fam), dtype=bool)]
+        assert set(off_diagonal.tolist()) <= {size * (size - 1)}
+
+
+@pytest.mark.parametrize("q", [4, 9, 16])
+def test_lemma_check_on_a_relabelled_plane(tmp_path, q):
+    relabelled, _ = relabelled_plane(q, tmp_path)
+    rng = np.random.default_rng(q + 11)
+    for size in (2, 3, 4, 5):
+        seed_set = set(int(v) for v in rng.choice(relabelled.n, size=size, replace=False))
+        fam = saturation_family(relabelled, seed_set)
+        assert intersection_lemma_holds(relabelled, fam, seed_set)
+        assert reference_lemma_holds(relabelled, fam, seed_set)
+
+
+def test_lemma_check_with_zero_and_one_edges():
+    pl = canonical_plane(2)
+    for seed_set, m in (({0, 4, 5, 6}, 0), ({0, 4, 6}, 1)):
+        fam = saturation_family(pl, seed_set)
+        assert len(fam) == m
+        assert intersection_lemma_holds(pl, fam, seed_set)
+        assert reference_lemma_holds(pl, fam, seed_set)
+    one = edge_family(pl.n, ({1, 2},), (3,))
+    assert intersection_lemma_holds(pl, one, {0, 4})
+    assert reference_lemma_holds(pl, one, {0, 4})
+
+
+def test_lemma_check_on_labels_that_are_not_unsaturated():
+    # saturated and repeated labels: x_i, x_j and s may share a line for
+    # several s, and a Gram built to the prediction passes only unchanged
+    pl = canonical_plane(5)
+    rng = np.random.default_rng(3)
+    seed_set = {0, 7, 19}
+    k = len(seed_set)
+    pencils = [set(row) for row in pl.point_lines.tolist()]
+    others = sorted(set(range(pl.n)) - seed_set)
+    saturated = set(others) - unsaturated(pl, seed_set)
+    saturated_labels = 0
+    for trial in range(40):
+        m = int(rng.integers(2, 9))
+        labels = tuple(int(v) for v in rng.choice(others, size=m))
+        saturated_labels += len(saturated.intersection(labels))
+        gram = np.array([[(k - 1) * (k - 2) + pl.q
+                          if any(pencils[x] & pencils[y] & pencils[s] for s in seed_set)
+                          else k * (k - 1) for y in labels] for x in labels], dtype=np.int32)
+        if trial % 2:
+            i, j = rng.choice(m, size=2, replace=False)
+            gram[i, j] = gram[j, i] = gram[i, j] + 1
+        fam = SetFamily(np.zeros((m, pl.n), dtype=bool), labels)
+        fam.intersections = gram
+        assert intersection_lemma_holds(pl, fam, seed_set) == (trial % 2 == 0)
+        assert reference_lemma_holds(pl, fam, seed_set) == (trial % 2 == 0)
+    assert saturated_labels > 0
+
+
+def test_lemma_check_fails_on_one_changed_gram_entry():
+    pl = canonical_plane(7)
+    seed_set = {0, 9, 30, 41}
+    fam = saturation_family(pl, seed_set)
+    assert intersection_lemma_holds(pl, fam, seed_set)
+    gram = fam.intersections
+    k, q = len(seed_set), pl.q
+    meet, miss = (k - 1) * (k - 2) + q, k * (k - 1)
+    off = np.triu(np.ones_like(gram, dtype=bool), 1)
+    for value in (meet, miss):
+        i, j = (int(v[0]) for v in np.nonzero(off & (gram == value)))
+        for changed in (value + 1, value - 1, meet + miss - value):
+            perturbed = SetFamily(fam.incidence, fam.labels)
+            perturbed.intersections = gram.copy()
+            perturbed.intersections[i, j] = perturbed.intersections[j, i] = changed
+            assert not intersection_lemma_holds(pl, perturbed, seed_set)
+            assert not reference_lemma_holds(pl, perturbed, seed_set)
+    # the diagonal, |H_i|, is no part of the prediction
+    perturbed = SetFamily(fam.incidence, fam.labels)
+    perturbed.intersections = gram.copy()
+    perturbed.intersections[0, 0] += 1
+    assert intersection_lemma_holds(pl, perturbed, seed_set)
 
 
 @pytest.mark.parametrize("q", [4, 16])

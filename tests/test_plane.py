@@ -263,6 +263,15 @@ def test_point_set_files(tmp_path):
     # one leading sign is kept; a negative index is left to the range check
     path.write_text("-1\n+3\n007\n")
     assert load_point_set(path) == {-1, 3, 7}
+    # str.strip() drops these too; only ASCII whitespace is taken around an index
+    for space in ("\u00a0", "\u3000", "\x85", "\x1c"):
+        for bad in (space + "5", "5" + space):
+            path.write_text(f"0\n{bad}\n")
+            with pytest.raises(ValueError) as info:
+                load_point_set(path)
+            assert str(info.value) == f"line 2: expected a point index, got {bad!r}"
+    path.write_bytes(b"1\r\n3  # note\r\n\t5\t\r\n \x0b7\x0c\r\n")
+    assert load_point_set(path) == {1, 3, 5, 7}
 
 
 def test_build_pg2_needs_tables():
