@@ -49,9 +49,7 @@ def _check_destination(path: str | None, what: str, parser) -> None:
 def _plane_order(value: str, parser, flag: str = "--q") -> int:
     if not value.strip():
         parser.error(f"empty order in {flag}")
-    try:
-        q = int(value)
-    except ValueError:
+    if (q := plane_mod._decimal(value)) is None:
         parser.error(f"{plane_mod._echo(value)} is not a prime power")
     if q < 2:       # factor_prime_power would echo it in full
         parser.error(f"{plane_mod._echo(str(q))} is not a prime power")
@@ -61,13 +59,16 @@ def _plane_order(value: str, parser, flag: str = "--q") -> int:
 
 
 def _typed(kind):
-    """argparse type for `kind` (int or float) that cuts a bad value with `_echo`."""
+    """argparse type for int (by `plane._decimal`) or float; `_echo` cuts a bad value."""
     def parse(value: str):
         try:
-            return kind(value)
+            parsed = plane_mod._decimal(value) if kind is int else kind(value)
         except ValueError:
+            parsed = None
+        if parsed is None:
             raise argparse.ArgumentTypeError(
-                f"invalid {kind.__name__} value: {plane_mod._echo(repr(value))}") from None
+                f"invalid {kind.__name__} value: {plane_mod._echo(repr(value))}")
+        return parsed
     return parse
 
 
@@ -104,13 +105,11 @@ def _trace_rows(trace):
 def cmd_construct(args, parser) -> int:
     if args.method == "random" and args.seed is None:
         parser.error("--seed is required with --method random")
-    if args.method != "random" and args.p is not None:
-        parser.error("--p only applies to --method random")
-    if args.method != "greedy":
-        for flag, value in (("--variant", args.variant), ("--stop-rule", args.stop_rule),
-                            ("--cap", args.cap)):
-            if value is not None:
-                parser.error(f"{flag} only applies to --method greedy")
+    for flag, value, method in (("--p", args.p, "random"), ("--variant", args.variant, "greedy"),
+                                ("--stop-rule", args.stop_rule, "greedy"),
+                                ("--cap", args.cap, "greedy"), ("--seed", args.seed, "random")):
+        if value is not None and args.method != method:
+            parser.error(f"{flag} only applies to --method {method}")
     if args.cap is not None and args.stop_rule != "step-cap":
         parser.error("--cap only applies with --stop-rule step-cap")
     if args.cap is not None and args.cap < 2:

@@ -9,8 +9,8 @@ encodes to the smallest integer sum(c_j * p^j).  That choice makes every
 derived index (points of PG(2,q), subfields, constructions) reproducible.
 
 A field is its read-only "add", "neg", "mul" and "inv" tables, which the
-plane builder indexes in bulk; it has no scalar ops.  The polynomial
-`_raw_*` ops build the tables and are the tests' oracle.
+plane builder indexes in bulk; it has no scalar ops.  `_raw_mul` and
+`_raw_pow` build tables; `_raw_add` and `_raw_neg` are test oracles alone.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .formulas import _precise_ceil
-from .plane import ProjectivePlane, join_rows
+from .plane import ProjectivePlane, _point_indices, join_rows
 from .saturation import unsaturated
 
 # Largest family `saturation_family` builds, in bytes of its bool incidence
@@ -83,10 +83,10 @@ def saturation_family(plane: ProjectivePlane, seed_set: Iterable[int]) -> SetFam
 
     Refuses, before any m x n allocation, a family above `FAMILY_BYTES_CAP`.
     """
-    s0 = sorted(set(int(v) for v in seed_set))
+    s0 = sorted(set(_point_indices(plane, seed_set).tolist()))
     if len(s0) < 2:
         raise ValueError("the seed set needs at least 2 points")
-    missing = sorted(unsaturated(plane, s0))   # also validates the indices
+    missing = sorted(unsaturated(plane, s0))
     m, n = len(missing), plane.n
     if (needed := 5 * m * n + 4 * m * m) > FAMILY_BYTES_CAP:
         raise ValueError(f"saturation family of {m} edges over {n} points needs {needed >> 20} "
@@ -132,7 +132,7 @@ def intersection_lemma_holds(plane: ProjectivePlane, family: SetFamily,
     """
     if family.labels is None:
         raise ValueError("the lemma check needs a labelled family (one label per edge)")
-    s0 = sorted(set(int(v) for v in seed_set))
+    s0 = sorted(set(_point_indices(plane, seed_set).tolist()))
     k, m, n = len(s0), len(family), plane.n
     keys = join_rows(plane, s0)[:, list(family.labels)].astype(np.int64)
     keys += np.arange(0, k * n, n, dtype=np.int64)[:, None]

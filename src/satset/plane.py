@@ -144,9 +144,7 @@ class ProjectivePlane:
 
     def _common(self, table: np.ndarray, a: int, b: int, kind: str, name: str) -> int:
         """The one entry rows a and b of `table` share, for `line_through` and `meet`."""
-        for v in (a, b):
-            if not 0 <= v < self.n:
-                raise ValueError(f"{kind} index {v} outside [0, {self.n})")
+        a, b = _point_index(self, a, kind), _point_index(self, b, kind)
         if a == b:
             raise ValueError(f"{name} needs two distinct {kind}s")
         return int(np.intersect1d(table[a], table[b], assume_unique=True)[0])
@@ -422,6 +420,16 @@ def join_rows(plane: ProjectivePlane, points: list[int]) -> np.ndarray:
     return joins
 
 
+def _point_index(plane: ProjectivePlane, v, kind: str = "point") -> int:
+    """v as an int: an int or numpy integer, not a bool, in [0, n); else ValueError."""
+    if not _is_int_type(type(v)):
+        raise ValueError(f"{kind} index {_echo(repr(v))} is not an integer")
+    if not 0 <= v < plane.n:
+        # Decimal writes an index past int's 4300-digit str limit, which _echo cuts
+        raise ValueError(f"{kind} index {_echo(f'{Decimal(int(v)):f}')} outside [0, {plane.n})")
+    return int(v)
+
+
 def _point_indices(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
     """The given points as one intp array.
 
@@ -434,8 +442,7 @@ def _point_indices(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
     if not isinstance(points, np.ndarray):
         points = list(points)
         if not all(map(_is_int_type, set(map(type, points)))):
-            bad = next(v for v in points if not _is_int_type(type(v)))
-            raise ValueError(f"point index {_echo(repr(bad))} is not an integer")
+            _point_index(plane, next(v for v in points if not _is_int_type(type(v))))
     try:
         # an unsigned array is checked before its cast, where 2**63 and up would wrap
         unsigned = isinstance(points, np.ndarray) and points.dtype.kind == "u"
@@ -444,7 +451,7 @@ def _point_indices(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
     except OverflowError:        # beyond intp, so outside the plane as well
         bad = [v for v in points if not 0 <= v < plane.n]
     if len(bad):
-        raise ValueError(f"point index {_echo(str(int(bad[0])))} outside [0, {plane.n})")
+        _point_index(plane, bad[0])         # raises: it lies outside the plane
     return idx.astype(np.intp, copy=False)
 
 
@@ -469,19 +476,17 @@ def load_plane(source) -> ProjectivePlane:
 
     The file is read once, front to back, so a pipe serves as well.  The
     data rows are parsed once into one int32 table, which is checked and
-    inverted as an array.  A token is an ASCII decimal integer with at
-    most one sign.  The first defect in file order is the one reported, as the
-    row-by-row checks find it: leading or trailing whitespace, then a
-    non-integer token, then the first failure of `validate_axioms`, which
-    is a `PlaneAxiomError`.  An order above `PLANE_BYTES_CAP` is refused
-    once the header and order lines are read, before the rest of the file.
+    inverted as an array.  A token, the order's too, is an ASCII decimal
+    integer with at most one sign (`_decimal`).  The first defect in file
+    order is the one reported, as the row-by-row checks find it: leading
+    or trailing whitespace, then a non-integer token, then the first
+    failure of `validate_axioms`, a `PlaneAxiomError`.  An order above
+    `PLANE_BYTES_CAP` is refused from the first two lines, before the rest.
     """
     with Path(source).open() as f:
         header, order = f.readline(), f.readline()
-        try:
-            q = int(order[2:]) if header == PLANE_HEADER + "\n" and order[:2] == "q=" else None
-        except ValueError:
-            q = None        # refused below as a bad order line
+        q = (_decimal(order[2:].removesuffix("\n"))
+             if header == PLANE_HEADER + "\n" and order[:2] == "q=" else None)
         if q is not None:
             check_table_bytes(q)
         body = f.read()
@@ -536,14 +541,15 @@ def _raise_first_row_failure(data: list[str], q: int) -> NoReturn:
     whitespace or token test, a token outside int32 the range check and
     rows of unequal length the size check.
     """
-    rows = []
+    rows, n = [], q * q + q + 1
     for j, row_text in enumerate(data):
         if row_text != row_text.strip():
             raise ValueError(f"line {j}: leading or trailing whitespace")
         tokens = row_text.split(" ")
         if not all(map(_is_decimal, tokens)):
             raise ValueError(f"line {j}: non-integer token")
-        rows.append([int(tok) for tok in tokens])
+        # a token too long for `_decimal` lies outside the plane, as one beyond int64
+        rows.append([n if (v := _decimal(tok)) is None else v for tok in tokens])
     raise PlaneAxiomError("axiom failure: " + _check_axioms(rows, q)[0])
 
 
@@ -554,6 +560,14 @@ def _is_decimal(token: str) -> bool:
     """
     digits = token[1:] if token[:1] in ("+", "-") else token
     return digits.isascii() and digits.isdigit()
+
+
+def _decimal(token: str) -> int | None:
+    """The value of a token `_is_decimal` accepts, else None, as past `int`'s digit limit."""
+    try:
+        return int(token) if _is_decimal(token) else None
+    except ValueError:
+        return None
 
 
 def save_point_set(points: Iterable[int], destination) -> None:
@@ -574,13 +588,8 @@ def load_point_set(source) -> set[int]:
         body = raw.split("#", 1)[0].strip(string.whitespace)
         if not body:
             continue
-        try:
-            if not _is_decimal(body):
-                raise ValueError
-            v = int(body)
-        except ValueError:
-            raise ValueError(f"line {ln}: expected a point index, "
-                             f"got {_echo(repr(body))}") from None
+        if (v := _decimal(body)) is None:
+            raise ValueError(f"line {ln}: expected a point index, got {_echo(repr(body))}")
         if values and v <= values[-1]:
             raise ValueError(f"line {ln}: indices must be strictly ascending")
         values.append(v)

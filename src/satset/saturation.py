@@ -17,7 +17,8 @@ from typing import Iterable
 import numpy as np
 
 from . import formulas
-from .plane import ProjectivePlane, _echo, _point_indices, join_rows, line_hits, on_lines
+from .plane import (ProjectivePlane, _echo, _point_index, _point_indices, join_rows, line_hits,
+                    on_lines)
 from .rng import generator_from_seed
 
 BRUTEFORCE_POINT_CAP = 31
@@ -126,15 +127,14 @@ class SaturationState:
 
     def add_point(self, point: int) -> int:
         """Add a point to the chosen set; returns how many points left R."""
-        if not 0 <= point < self.plane.n:
-            raise ValueError(f"point index {point} outside [0, {self.plane.n})")
+        point = _point_index(self.plane, point)
         if self.in_chosen[point]:
             raise ValueError(f"point {point} already chosen")
         lines_p = self.plane.point_lines[point]
         newly_secant = lines_p[self.line_hits[lines_p] == 1]
         removed = 0
         self.in_chosen[point] = True
-        self.chosen.append(int(point))
+        self.chosen.append(point)
         self.line_hits[lines_p] += 1
         if self.in_unsat[point]:
             self.in_unsat[point] = False

@@ -732,6 +732,65 @@ def test_plane_free_checks_run_before_any_plane(monkeypatch, capsys, argv, messa
     assert capsys.readouterr().err.splitlines()[-1] == f"satset: error: {message}"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "--q", "1_6", "--method", "greedy"], "satset: error: 1_6 is not a prime power"),
+    (["construct", "--q", "\u0663", "--method", "greedy"],
+     "satset: error: \u0663 is not a prime power"),
+    (["construct", "--q", " 3", "--method", "greedy"], "satset: error:  3 is not a prime power"),
+    (["bounds", "--q-list", "2, 1_6"], "satset: error: 1_6 is not a prime power"),
+    (["mc", "--q", "2", "--trials", "10", "--seed", "0_1"],
+     "satset mc: error: argument --seed: invalid int value: '0_1'"),
+    (["mc", "--q", "2", "--trials", "\u0661\u0660", "--seed", "1"],
+     "satset mc: error: argument --trials: invalid int value: '\u0661\u0660'"),
+    (["construct", "--q", "3", "--method", "greedy", "--stop-rule", "step-cap", "--cap", "1_0"],
+     "satset construct: error: argument --cap: invalid int value: '1_0'"),
+    (["bounds", "--q-list", "2", "--random-trials", "1\t", "--seed", "1"],
+     "satset bounds: error: argument --random-trials: invalid int value: '1\\t'"),
+    (["hypergraph", "--q", "3", "--s0-size", "+3", "--seed", "1" * 5000],
+     "satset hypergraph: error: argument --seed: invalid int value: '" + "1" * 39 + "..."),
+])
+def test_integer_flags_take_ascii_decimal_tokens(capsys, argv, message):
+    # int() reads each refused token (1_6 as 16, the Arabic-Indic digits as 3 and 10)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.splitlines()[-1] == message and len(message) < 120
+
+
+@pytest.mark.parametrize("method", ["greedy", "baer"])
+def test_seed_only_applies_to_the_random_method(capsys, method):
+    # it was taken and reported as "seed": null
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--q", "9", "--method", method, "--seed", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "satset: error: --seed only applies to --method random"
+
+
+def test_a_row_token_past_int_s_digit_limit_exits_1_from_plane_check(capsys, tmp_path):
+    path = tmp_path / "p3.txt"
+    save_plane(canonical_plane(3), path)
+    text = path.read_text().split("\n")
+    text[2] = "9 10 11 " + "9" * 5000
+    path.write_text("\n".join(text))
+    code, out = run(capsys, ["plane", "check", "--file", str(path)])
+    assert code == 1
+    assert out == "axiom failure: point index: line 0 has an index outside [0, 13)\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["hypergraph", "--q", "2", "--s0-size", "8", "--seed", "0"], "--s0-size cannot exceed 7"),
+    (["plane", "gen", "--file", "unused.txt"], "plane gen needs --q"),
+])
+def test_refusals_after_the_flags_parse(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"satset: error: {message}"
+
+
 ORDERS = st.sampled_from(["2", "3", "4", "5", "7", "1031"])
 SEEDS = st.integers(-5, 50).map(str)
 COUNTS = st.integers(-3, 5).map(str)

@@ -512,3 +512,21 @@ def test_family_ceiling_refuses_before_building(capsys, monkeypatch):
     message = captured.err.splitlines()[-1]
     assert "ceiling" in message and "Traceback" not in captured.err
 
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({2.7, 5}, "point index 2.7 is not an integer"),
+    ({"4", 7}, "point index '4' is not an integer"),
+    ({True, 5}, "point index True is not an integer"),
+    ({3, 13}, "point index 13 outside [0, 13)"),
+])
+def test_seed_sets_take_the_point_index_rule(bad, message):
+    # int(v) read these as the points {2, 5}, {4, 7} and {1, 5}
+    pl = canonical_plane(3)
+    family = saturation_family(pl, {2, 5})
+    for call in (lambda: saturation_family(pl, bad),
+                 lambda: intersection_lemma_holds(pl, family, bad)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    assert intersection_lemma_holds(pl, family, np.array([5, 2], dtype=np.uint8))

@@ -545,6 +545,9 @@ LOAD_GOLDEN = {
     "empty file": ("", "plane file is missing its header"),
     "no order line": (_q3_file(order="order=3"), "second line must be q=<order>"),
     "bad order line": (_q3_file(order="q=three"), "bad order line 'q=three'"),
+    # int() reads each of these orders as 3; the order takes the rows' token rule
+    **{f"order {order!r}": (_q3_file(order=order), f"bad order line {order!r}")
+       for order in ("q= 3", "q=3 ", "q=0_3", "q=\u0663", "q=\xa03", "q=3\t", "q=3\x0b")},
     "order below 2": (_q3_file(order="q=1"), "order must be >= 2, got 1"),
     "missing final newline": (_q3_file(end=""), "plane file must end with a newline"),
     "line count": (_q3_file(rows=_q3_rows()[:-1]),
@@ -888,3 +891,46 @@ def test_line_through_and_meet_refuse_indices_outside_the_plane():
             with pytest.raises(ValueError) as info:
                 pl.meet(*args)
             assert str(info.value) == f"line index {bad} outside [0, 7)"
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 2.0, "4"])
+def test_line_through_and_meet_refuse_bool_and_non_integer_indices(bad):
+    # True once read as index 1, and line_through(1, 1.0) as one point twice
+    pl = canonical_plane(3)
+    for args in ((bad, 2), (2, bad)):
+        with pytest.raises(ValueError) as info:
+            pl.line_through(*args)
+        assert str(info.value) == f"point index {bad!r} is not an integer"
+        with pytest.raises(ValueError) as info:
+            pl.meet(*args)
+        assert str(info.value) == f"line index {bad!r} is not an integer"
+    with pytest.raises(ValueError, match=r"^point index 1\.0 is not an integer$"):
+        pl.line_through(1, 1.0)
+    assert pl.line_through(np.int64(1), np.uint8(2)) == pl.line_through(1, 2)
+    # an index past int's 4300-digit str limit is cut, not a conversion error
+    with pytest.raises(ValueError, match=r"^point index 1(0{39})\.\.\. outside \[0, 13\)$"):
+        pl.line_through(10**5000, 2)
+    assert type(pl.meet(np.int32(1), 2)) is int
+
+
+@pytest.mark.parametrize("digits", [30, 5000])
+def test_a_row_token_past_int_s_digit_limit_is_outside_the_plane(tmp_path, digits):
+    # int() refuses more than 4300 digits; such a token fails as a 30-digit one does
+    path = tmp_path / "p.txt"
+    path.write_text(_q3_file({0: "9 10 11 " + "9" * digits}))
+    with pytest.raises(PlaneAxiomError) as info:
+        load_plane(path)
+    assert str(info.value) == "axiom failure: point index: line 0 has an index outside [0, 13)"
+
+
+def test_point_triple_and_triple_index_refuse_what_they_cannot_code():
+    with pytest.raises(ValueError) as info:
+        point_triple(3, 13)
+    assert str(info.value) == "index 13 out of range for order 3"
+    with pytest.raises(ValueError) as info:
+        point_triple(3, -1)
+    assert str(info.value) == "index -1 out of range for order 3"
+    for triple in ((2, 0, 1), (0, 2, 1), (0, 0, 0)):
+        with pytest.raises(ValueError) as info:
+            triple_index(3, triple)
+        assert str(info.value) == f"triple {triple!r} is not normalised"

@@ -460,6 +460,19 @@ def test_entry_points_refuse_bool_and_non_integer_indices(bad):
     assert state.chosen == [0, 1]
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, 2.0, "4"])
+def test_add_point_refuses_bool_and_non_integer_indices(bad):
+    # a bool was read as point 1, 2.0 raised IndexError and True a numpy error
+    pl = canonical_plane(3)
+    state = SaturationState(pl, [0, 1])
+    with pytest.raises(ValueError) as info:
+        state.add_point(bad)
+    assert str(info.value) == f"point index {bad!r} is not an integer"
+    assert state.chosen == [0, 1]
+    state.add_point(np.uint8(4))
+    assert state.chosen == [0, 1, 4] and type(state.chosen[-1]) is int
+
+
 def test_integer_indices_of_any_integer_type_are_accepted():
     pl = canonical_plane(3)
     pts = np.array([0, 1, 3, 9, 12], dtype=np.intp)
