@@ -175,7 +175,7 @@ def cmd_bounds(args, parser) -> int:
         points, _ = saturation.greedy_construct(pl, variant="skew")
         mean_text = ""
         if args.random_trials:
-            sizes = [saturation.random_construct(pl, args.seed + k)[1].final_size
+            sizes = [len(saturation.random_construct(pl, args.seed + k)[0])
                      for k in range(args.random_trials)]
             mean_text = _fmt(float(np.mean(sizes)))
         rows.append(f"{q},{_fmt(formulas.lunelli_sce_bound(q))},"

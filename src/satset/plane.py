@@ -233,24 +233,24 @@ def validate_axioms(rows, q: int) -> ValidationReport:
     The pair check is a cover check.  Once the earlier checks pass, the
     q+1 lines through p hold (q+1)q = n-1 slots besides p, one for each
     other point, so their union is every point exactly when every pair
-    (p, x) has exactly one common line.  Up to `_BIT_CHECK_POINTS` points
-    (q <= 151, a bit table of 64 MiB at most) the lines are packed into
-    n-bit rows, and the points are taken in blocks of 512: each block's
-    cover is one 512-row buffer into which the rows of its points' lines
-    are ORed column by column.  A pair needs checking from one side only,
-    so the block [s, s+512) ORs only the words from s >> 6 onward.  The
-    first point the count fails, p*, misses some x0 > p* (an x0 < p*
-    would fail first), a bit its block keeps, while every earlier point
-    covers all n points; so the first point the bits refuse is p*, and
-    the per-point count, run from p*, names the same pair.  Larger planes (q >= 157) take the count alone.
+    (p, x) has exactly one common line.  The lines are packed into n-bit
+    rows, cut into column slabs of `_BIT_TABLE_BYTES` at most (one slab
+    up to q = 151), and the points are taken in blocks of 512: each
+    block's cover is one 512-row buffer into which the rows of its
+    points' lines are ORed column by column.  A pair needs checking from
+    one side only, so the block [s, s+512) ORs only the words from s >> 6
+    onward.  The first point a per-point count fails, p*, misses some
+    x0 > p* (an x0 < p* would fail first), a bit the slab holding x0
+    keeps, while every earlier point covers all n points; so the least
+    point the slabs refuse is p*, and one count there names the pair.
     """
     failure, _, _ = _check_axioms(rows, q)
     return ValidationReport(failure is None, [] if failure is None else [failure])
 
 
-# Most points a plane may have for its pair check to use packed bit rows:
-# the largest n whose n x ceil(n/64) uint64 table fits in 64 MiB (q <= 151).
-_BIT_CHECK_POINTS = 23168
+# Bytes of one column slab of the pair check's packed bit table, n rows of
+# uint64 words: every word of a plane up to q = 151 fits in one slab.
+_BIT_TABLE_BYTES = 1 << 26
 
 
 def _check_axioms(rows, q: int) -> tuple[str | None, np.ndarray | None, np.ndarray | None]:
@@ -297,15 +297,13 @@ def _check_axioms(rows, q: int) -> tuple[str | None, np.ndarray | None, np.ndarr
         return (f"point degree: point {bad} lies on {int(degrees[bad])} lines, "
                 f"expected {q + 1}"), None, None
     point_lines = ProjectivePlane._invert(table, n, q)
-    start = _first_uncovered_block(table, point_lines, n) if n <= _BIT_CHECK_POINTS else 0
-    for p in range(start, n):
+    p = _first_uncovered_point(table, point_lines, n)
+    if p < n:
         counts = np.bincount(table[point_lines[p]].ravel(), minlength=n)
         counts[p] = 1
-        # the (q+1)^2 entries sum to n here, so some count is not 1 iff one is 0
-        if np.count_nonzero(counts) < n:
-            other = int(np.flatnonzero(counts != 1)[0])
-            word = "no common line" if counts[other] == 0 else "more than one common line"
-            return f"unique meet: points {p} and {other} have {word}", None, None
+        other = int(np.flatnonzero(counts != 1)[0])
+        word = "no common line" if counts[other] == 0 else "more than one common line"
+        return f"unique meet: points {p} and {other} have {word}", None, None
     return None, table, point_lines
 
 
@@ -321,47 +319,52 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _first_uncovered_block(table: np.ndarray, point_lines: np.ndarray, n: int) -> int:
-    """The first point the packed cover check refuses, or n.
+def _first_uncovered_point(table: np.ndarray, point_lines: np.ndarray, n: int) -> int:
+    """The least point whose lines do not cover every point, or n.
 
-    Line j becomes an n-bit row with bit x set when x is on it; the
-    padding bits past n (n is odd, so the last word has some) are set in
-    every row.  Rows are packed 256 lines at a time through one reused
-    bool buffer, a whole number of words wide, whose padding columns are
-    set once: each block clears its n columns, sets its points with one
-    flat scatter at intp indices row * width + point, and `packbits`
-    writes it straight into the block's rows of the table.  Points are
-    taken 512 at a time: the cover of the block [s, s+512) starts as the
+    Line j is an n-bit row with bit x set when x is on it; the padding
+    bits past n (n is odd, so the last word has some) are set in every
+    row.  The words are cut into slabs [lo, hi) of as many as fit n rows
+    in `_BIT_TABLE_BYTES`, each packed into one reused table and scanned
+    in turn.  A slab is packed 256 lines at a time through one reused
+    bool buffer, as wide as the slab, whose padding columns are set once:
+    each block clears its other columns, sets its points in [lo, hi) with
+    one flat scatter at intp indices row * (hi - lo) + point - lo, and
+    `packbits` writes it straight into the block's rows of the slab.
+    Points are taken 512 at a time, only below the least refused point
+    found so far: the cover of the block [s, s+512) starts as the slab's
     rows, from word s >> 6 on, of each point's first line, and each
-    further column of its `point_lines` rows is ORed into it in place,
-    so one 512-row buffer is all the scan holds.  A point passes when
-    every bit of its cover is set.  This is the first point p* the
-    per-point count refuses: every earlier point covers all n points, and
-    p* misses some x0 > p* (an x0 < p* would itself fail first), a bit at
-    or past word s >> 6 of its block.
+    further column of its `point_lines` rows is ORed into it in place, so
+    one 512-row buffer is all the scan holds.  A point is refused when a
+    bit of its cover is clear.
     """
-    words = -(-n // 64)
-    width = 64 * words
-    bits = np.empty((n, words), dtype="<u8")
-    as_bytes = bits.view(np.uint8)
-    on = np.zeros((256, width), dtype=bool)
-    on[:, n:] = True
-    offsets = np.arange(0, 256 * width, width, dtype=np.intp)[:, None]
-    for s in range(0, n, 256):
-        lines = table[s:s + 256]
-        block = on[:len(lines)]
-        block[:, :n] = False
-        on.ravel()[np.add(lines, offsets[:len(lines)], dtype=np.intp).ravel()] = True
-        as_bytes[s:s + 256] = np.packbits(block, axis=1, bitorder="little")
-    for s in range(0, n, 512):
-        lines = point_lines[s:s + 512]
-        cover = bits[lines[:, 0], s >> 6:]
-        for c in range(1, lines.shape[1]):
-            cover |= bits[lines[:, c], s >> 6:]
-        refused = np.flatnonzero((~cover).any(axis=1))
-        if refused.size:
-            return s + int(refused[0])
-    return n
+    width, slab = 64 * -(-n // 64), 64 * max(1, _BIT_TABLE_BYTES // (8 * n))
+    first, table_bits = n, np.empty((n, min(width, slab) // 64), dtype="<u8")
+    for lo in range(0, width, slab):
+        hi = min(width, lo + slab)
+        bits = table_bits[:, :(hi - lo) // 64]
+        on = np.zeros((256, hi - lo), dtype=bool)
+        on[:, n - lo:] = True
+        offsets = np.arange(-lo, 256 * (hi - lo) - lo, hi - lo, dtype=np.intp)[:, None]
+        for s in range(0, n, 256):
+            lines = table[s:s + 256]
+            block = on[:len(lines)]
+            block[:, :n - lo] = False
+            flat = np.add(lines, offsets[:len(lines)], dtype=np.intp)
+            if lo or hi < n:
+                flat = flat[(lines >= lo) & (lines < hi)]
+            on.ravel()[flat.ravel()] = True
+            bits.view(np.uint8)[s:s + 256] = np.packbits(block, axis=1, bitorder="little")
+        for s in range(0, min(first, hi), 512):
+            lines, w = point_lines[s:s + 512], max(0, (s - lo) >> 6)
+            cover = bits[lines[:, 0], w:]
+            for c in range(1, lines.shape[1]):
+                cover |= bits[lines[:, c], w:]
+            refused = np.flatnonzero((~cover).any(axis=1))
+            if refused.size:
+                first = min(first, s + int(refused[0]))
+                break
+    return first
 
 
 def _block_rows(n: int, width: int) -> int:
@@ -508,6 +511,7 @@ def load_plane(source) -> ProjectivePlane:
     table = _parse_rows(body)
     if table is None or len(table) != n:
         _raise_first_row_failure(body.split("\n")[:-1], q)
+    del body        # the parsed table is all the checks read
     failure, _, point_lines = _check_axioms(table, q)
     if failure is not None:
         raise PlaneAxiomError("axiom failure: " + failure)

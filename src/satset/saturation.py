@@ -383,14 +383,11 @@ def complete(state: SaturationState) -> set[int]:
 class RandomTrialStats:
     """Bookkeeping of one seeded sampling run.
 
-    final_size never exceeds sample_size + ceil(unsaturated_size / 2)
-    + startup_additions (the latter only when fewer than two points were
-    sampled).
+    The final set never exceeds sample_size + ceil(unsaturated_size / 2)
+    points, plus 2 - sample_size when fewer than two points were sampled.
     """
     sample_size: int
     unsaturated_size: int
-    startup_additions: int
-    final_size: int
 
 
 def random_construct(plane: ProjectivePlane, seed: int,
@@ -413,12 +410,8 @@ def random_construct(plane: ProjectivePlane, seed: int,
     rng = generator_from_seed(seed)
     state = SaturationState(plane, np.flatnonzero(rng.random(plane.n) < p))
     # Y leaves out the sample itself, so it is n - |X| when |X| < 2
-    x_size, y_size = state.size, state.unsat_count
-    final = _proven(plane, complete(state))
-    stats = RandomTrialStats(sample_size=x_size, unsaturated_size=y_size,
-                             startup_additions=max(0, 2 - x_size),
-                             final_size=len(final))
-    return final, stats
+    stats = RandomTrialStats(sample_size=state.size, unsaturated_size=state.unsat_count)
+    return _proven(plane, complete(state)), stats
 
 
 def check_sample_bytes(trials: int) -> None:
@@ -470,7 +463,8 @@ def minsat_bruteforce(plane: ProjectivePlane) -> tuple[int, set[int]]:
     size, using bitmask incidence; no lower-bound pruning, so the result
     is a bound-free oracle.  Refuses planes with more than
     `BRUTEFORCE_POINT_CAP` points: PG(2,5) (31) takes a fraction of a
-    second, while PG(2,7) (57) would try over 36 million 6-subsets.
+    second, while PG(2,7) (57) would try over 36 million 6-subsets.  The
+    witness leaves through `_proven`, as every constructed set does.
     """
     n = plane.n
     if n > BRUTEFORCE_POINT_CAP:
@@ -488,5 +482,5 @@ def minsat_bruteforce(plane: ProjectivePlane) -> tuple[int, set[int]]:
             for v in combo:
                 covered |= 1 << v
             if covered == full:
-                return k, set(combo)
+                return k, _proven(plane, set(combo))
     raise RuntimeError("no saturating set found")  # unreachable: all points saturate

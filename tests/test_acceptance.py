@@ -70,10 +70,10 @@ def test_criterion_02_random_mean_within_bound():
         plane = ss.canonical_plane(q)
         sizes = []
         for seed in range(100):
-            points, stats = ss.random_construct(plane, seed)
+            points, _ = ss.random_construct(plane, seed)
             if not ss.is_saturating(plane, points):
                 ok = False
-            sizes.append(stats.final_size)
+            sizes.append(len(points))
         mean = float(np.mean(sizes))
         bound = ss.theorem_bound(q)
         ok = ok and mean <= bound

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (reference_invert, reference_validate_axioms, relabelled_plane,
                      skew_lines)
@@ -780,19 +781,19 @@ def test_bit_cover_check_matches_the_count_oracle(q, monkeypatch):
     planes = [(_relabelled_rows(q, rng), None)]
     planes += [(_swapped_rows(q, rng), None) for _ in range(3)]
     planes += [(_swapped_rows(q, rng, low), low) for low in placed]
+    words = -(-n // 64)
     for rows, low in planes:
         expect = reference_validate_axioms(rows.tolist(), q)
         assert validate_axioms(rows, q) == expect
         point_lines = ProjectivePlane._invert(rows, n, q)
-        if expect.ok:
-            assert plane._first_uncovered_block(rows, point_lines, n) == n
-            continue
-        first = int(expect.failures[0].split()[3])
+        first = n if expect.ok else int(expect.failures[0].split()[3])
         assert low is None or first == low
-        # the bits refuse the count loop's first failing point itself
-        assert plane._first_uncovered_block(rows, point_lines, n) == first
+        # the bits refuse the count's first failing point itself
+        assert plane._first_uncovered_point(rows, point_lines, n) == first
         with monkeypatch.context() as m:
-            m.setattr(plane, "_BIT_CHECK_POINTS", 0)       # the count loop alone
+            # a third of the words per slab: several slabs from q = 8 (two words) on
+            m.setattr(plane, "_BIT_TABLE_BYTES", 8 * n * max(1, words // 3))
+            assert plane._first_uncovered_point(rows, point_lines, n) == first
             assert validate_axioms(rows, q) == expect
 
 
@@ -804,7 +805,8 @@ def _write_rows(path, q, rows):
 def test_bit_cover_check_above_2_13_points(tmp_path, monkeypatch):
     q = 97
     n = q * q + q + 1
-    assert 1 << 13 < n <= plane._BIT_CHECK_POINTS
+    words = -(-n // 64)
+    assert 1 << 13 < n and 8 * n * words <= plane._BIT_TABLE_BYTES     # one slab
     rng = np.random.default_rng(1097)
     rows = _relabelled_rows(q, rng)
     path = tmp_path / "p97.txt"
@@ -813,17 +815,33 @@ def test_bit_cover_check_above_2_13_points(tmp_path, monkeypatch):
     # a swapped point keeps line sizes and point degrees, so only the pair check fails
     for low in (None, n - 2 * q):
         bad = _swapped_rows(q, rng, low)
-        first = plane._first_uncovered_block(bad, ProjectivePlane._invert(bad, n, q), n)
+        first = plane._first_uncovered_point(bad, ProjectivePlane._invert(bad, n, q), n)
         assert first < n and low in (None, first)
         _write_rows(path, q, bad)
         with pytest.raises(PlaneAxiomError) as packed:
             load_plane(path)
         assert str(packed.value).startswith(f"axiom failure: unique meet: points {first} and ")
         with monkeypatch.context() as m:
-            m.setattr(plane, "_BIT_CHECK_POINTS", 0)       # the count loop alone
-            with pytest.raises(PlaneAxiomError) as counted:
+            m.setattr(plane, "_BIT_TABLE_BYTES", 8 * n * 40)      # four slabs, the last short
+            with pytest.raises(PlaneAxiomError) as slabs:
                 load_plane(path)
-        assert str(packed.value) == str(counted.value)
+        assert str(packed.value) == str(slabs.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16]), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_every_slab_width_agrees_with_the_count_oracle(q, seed, data):
+    n = q * q + q + 1
+    words = -(-n // 64)
+    rng = np.random.default_rng(seed)
+    low = data.draw(st.one_of(st.none(), st.integers(0, n - 2 * q)), label="low")
+    rows = _swapped_rows(q, rng, low) if data.draw(st.booleans()) else _relabelled_rows(q, rng)
+    expect = reference_validate_axioms(rows.tolist(), q)
+    slab = data.draw(st.integers(1, words), label="words per slab")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(plane, "_BIT_TABLE_BYTES", 8 * n * slab)
+        assert validate_axioms(rows, q) == expect
 
 
 @pytest.mark.parametrize("n", [46340, 46341])

@@ -17,16 +17,15 @@ def test_p_one_samples_everything():
     assert points == set(range(pl.n))
     assert stats.sample_size == pl.n
     assert stats.unsaturated_size == 0
-    assert stats.final_size == pl.n
 
 
 def test_p_zero_exercises_startup():
     pl = canonical_plane(3)
     points, stats = random_construct(pl, seed=0, p_override=0.0)
     assert stats.sample_size == 0
-    assert stats.startup_additions == 2
     assert stats.unsaturated_size == pl.n
     assert is_saturating(pl, points)
+    assert len(points) <= 2 + math.ceil(pl.n / 2)      # two startup points, then pairs
 
 
 def test_p_out_of_range():
@@ -52,10 +51,9 @@ def test_stats_budget_invariant():
         for seed in range(25):
             points, st = random_construct(pl, seed)
             assert is_saturating(pl, points)
-            assert st.final_size == len(points)
-            assert st.final_size <= (st.sample_size
-                                     + math.ceil(st.unsaturated_size / 2)
-                                     + st.startup_additions)
+            assert len(points) <= (st.sample_size
+                                   + math.ceil(st.unsaturated_size / 2)
+                                   + max(0, 2 - st.sample_size))
 
 
 def test_stats_y_is_the_samples_unsaturated_count():
@@ -87,9 +85,9 @@ def test_sample_enters_the_state_in_bulk(monkeypatch):
         for seed in range(5):
             added.clear()
             points, st = random_construct(pl, seed, p)
-            assert len(added) == st.final_size - st.sample_size
+            assert len(added) == len(points) - st.sample_size
             assert len(added) <= (math.ceil(st.unsaturated_size / 2)
-                                  + st.startup_additions)
+                                  + max(0, 2 - st.sample_size))
 
 
 def test_monte_carlo_degenerate_and_agreement():

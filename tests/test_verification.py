@@ -55,12 +55,15 @@ def test_constructions_raise_when_the_recount_fails(monkeypatch):
         saturation.random_construct(pl, seed=1)
     with pytest.raises(saturation.VerificationError):
         baer.three_subline_construction(embedding)
+    with pytest.raises(saturation.VerificationError):
+        saturation.minsat_bruteforce(canonical_plane(2))
 
 
-@pytest.mark.parametrize("argv", CONSTRUCT_ARGV)
+@pytest.mark.parametrize("argv", [["construct", *argv] for argv in CONSTRUCT_ARGV]
+                         + [["minsat", "--q", "2"]])
 def test_construct_exits_1_when_the_recount_fails(capsys, monkeypatch, argv):
     _report_missing_point(monkeypatch)
-    assert main(["construct", *argv]) == 1
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "does not saturate" in captured.err
@@ -110,7 +113,8 @@ embedding = baer.baer_subplane(pl)
 saturation.unsaturated = lambda plane, points: {0}
 builds = {"greedy": lambda: saturation.greedy_construct(pl),
           "random": lambda: saturation.random_construct(pl, seed=1),
-          "baer": lambda: baer.three_subline_construction(embedding)}
+          "baer": lambda: baer.three_subline_construction(embedding),
+          "minsat": lambda: saturation.minsat_bruteforce(canonical_plane(2))}
 for name, build in builds.items():
     try:
         build()
@@ -125,4 +129,4 @@ def test_recount_survives_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
                           capture_output=True, text=True, env=env, check=True)
     assert done.stdout.split("\n") == ["greedy raised", "random raised",
-                                       "baer raised", ""]
+                                       "baer raised", "minsat raised", ""]
