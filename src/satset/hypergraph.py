@@ -19,11 +19,15 @@ import numpy as np
 
 from .formulas import _precise_ceil
 from .plane import ProjectivePlane, _point_indices, join_rows
-from .saturation import unsaturated
+from .saturation import _unsaturated_mask
 
 # Largest family `saturation_family` builds, in bytes of its bool incidence
-# matrix, the float32 copy the Gram product reads and the m x m product.
+# matrix, the float32 copy the Gram product reads (counted whole, though it
+# is read in blocks of `_GRAM_BLOCK_BYTES`) and the m x m product.
 FAMILY_BYTES_CAP = 1 << 31
+
+# Largest float32 copy of incidence columns one Gram product reads, in bytes.
+_GRAM_BLOCK_BYTES = 1 << 28
 
 
 class SetFamily:
@@ -58,15 +62,23 @@ class SetFamily:
     def intersections(self) -> np.ndarray:
         """Read-only m x m int32 matrix of |H_i ∩ H_j|, edge sizes on the diagonal.
 
-        One float32 product `a @ a.T`, which numpy hands to BLAS as a
-        symmetric rank-k update.  Every partial sum is a whole number no
-        larger than an edge, so float32 holds it exactly up to 2^24.
+        A sum of float32 products `a @ a.T`, which numpy hands to BLAS as
+        symmetric rank-k updates, one per block of columns whose float32
+        copy `a` fits in `_GRAM_BLOCK_BYTES`.  Every partial sum is a whole
+        number no larger than an edge, so float32 holds it exactly up to 2^24.
         """
-        if self.ground_size > 1 << 24:
-            raise ValueError(f"ground set of {self.ground_size} exceeds 2^24")
-        a = self.incidence.astype(np.float32)
-        gram = a @ a.T
-        del a                                   # before the int32 copy
+        m, n = self.incidence.shape
+        if n > 1 << 24:
+            raise ValueError(f"ground set of {n} exceeds 2^24")
+        width = max(1, _GRAM_BLOCK_BYTES // (4 * max(m, 1)))
+        gram = None
+        for lo in range(0, max(n, 1), width):
+            a = self.incidence[:, lo:lo + width].astype(np.float32)
+            if gram is None:
+                gram = a @ a.T
+            else:
+                gram += a @ a.T
+            del a                               # before the next block
         gram = gram.astype(np.int32)
         gram.setflags(write=False)
         return gram
@@ -86,17 +98,18 @@ def saturation_family(plane: ProjectivePlane, seed_set: Iterable[int]) -> SetFam
     s0 = sorted(set(_point_indices(plane, seed_set).tolist()))
     if len(s0) < 2:
         raise ValueError("the seed set needs at least 2 points")
-    missing = sorted(unsaturated(plane, s0))
+    missing = np.flatnonzero(_unsaturated_mask(plane, s0))
     m, n = len(missing), plane.n
     if (needed := 5 * m * n + 4 * m * m) > FAMILY_BYTES_CAP:
         raise ValueError(f"saturation family of {m} edges over {n} points needs {needed >> 20} "
                          f"MiB, above the {FAMILY_BYTES_CAP >> 20} MiB ceiling")
     members = np.zeros((m, n), dtype=bool)
     points = plane.line_points[join_rows(plane, s0)[:, missing].T]     # (m, |S0|, q+1)
-    starts = np.arange(0, m * n, n, dtype=np.intp)[:, None, None]
-    members.ravel()[np.add(points, starts, dtype=np.intp).ravel()] = True
+    # flat indices below m·n < FAMILY_BYTES_CAP / 5, so int32 holds them
+    points += np.arange(0, m * n, n, dtype=np.int32)[:, None, None]
+    members.ravel()[points.ravel()] = True
     members[:, s0] = False
-    return SetFamily(members, tuple(missing))
+    return SetFamily(members, tuple(missing.tolist()))
 
 
 def pairwise_intersection_sizes(family: SetFamily) -> list[int]:
@@ -110,7 +123,7 @@ def check_uniform_intersecting(family: SetFamily) -> tuple[int | None, int | Non
     r is None unless every edge has the same size; t is None unless the
     family has at least two edges.  t is always computed, never trusted.
     """
-    sizes = np.add.reduce(family.incidence.view(np.uint8), axis=1, dtype=np.int32)
+    sizes = np.diagonal(family.intersections)           # |H_i ∩ H_i| = |H_i|
     r = int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else None
     # the whole matrix has the off-diagonal minimum: a diagonal entry
     # |H_i| bounds |H_i ∩ H_j| from above along its row
@@ -125,31 +138,30 @@ def intersection_lemma_holds(plane: ProjectivePlane, family: SetFamily,
     The prediction comes from the line joining the labels x_i and x_j:
     k(k-1) when it misses S0 (|S0| = k), (k-1)(k-2)+q when it meets S0.
     That line meets s in S0 when the joins <s, x_i> and <s, x_j> agree, so
-    the meeting pairs are the equal neighbours, 1, 2, ... places apart, of
-    the sorted keys s·n + <s, x_i>.  The prediction is compared against
-    intersections counted from the edges, so the two sides come from
-    independent data.
+    the meeting pairs are those within one run of equal sorted keys
+    s·n + <s, x_i>: each position is paired with every position of its
+    run, itself included, which lands on the unchecked diagonal.  The
+    prediction is compared against intersections counted from the edges,
+    so the two sides come from independent data.
     """
     if family.labels is None:
         raise ValueError("the lemma check needs a labelled family (one label per edge)")
     s0 = sorted(set(_point_indices(plane, seed_set).tolist()))
     k, m, n = len(s0), len(family), plane.n
-    keys = join_rows(plane, s0)[:, list(family.labels)].astype(np.int64)
-    keys += np.arange(0, k * n, n, dtype=np.int64)[:, None]
+    keys = join_rows(plane, s0)[:, _point_indices(plane, family.labels)]
+    keys = keys + np.arange(0, k * n, n, dtype=np.intp)[:, None]
     order = np.argsort(keys, axis=None)
-    ranked = np.append(keys.ravel()[order], -1)         # -1 ends the last run
+    ranked = keys.ravel()[order]
     label = order % m
-    row = label * m
+    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+    lengths = np.diff(starts, append=ranked.size)
+    size = np.repeat(lengths, lengths)          # each position's run length
+    shift = np.repeat(starts, lengths) - (np.cumsum(size) - size)
+    pairs = np.repeat(label * m, size)
+    pairs += label[np.repeat(shift, size) + np.arange(pairs.size)]
     miss, meet = k * (k - 1), (k - 1) * (k - 2) + plane.q
     expected = np.full((m, m), miss, dtype=np.min_scalar_type(max(miss, meet)))
-    flat = expected.ravel()
-    step, first = 1, np.flatnonzero(ranked[1:] == ranked[:-1])
-    while first.size:               # keys equal `step` places apart
-        second = first + step
-        flat[row[first] + label[second]] = meet
-        flat[row[second] + label[first]] = meet
-        step += 1
-        first = first[ranked[second + 1] == ranked[first]]
+    expected.ravel()[pairs] = meet
     holds = family.intersections == expected
     np.fill_diagonal(holds, True)
     return bool(holds.all())
@@ -172,6 +184,18 @@ def transversal_bound(r: int, t: int, m: int) -> int:
     return _precise_ceil(lambda ns: r * m * ns.log(m) / (t * m + r))
 
 
+def _column_sums(rows: np.ndarray) -> np.ndarray:
+    """Column sums of a 0/1 uint8 matrix as int32.
+
+    Blocks of 255 rows are summed in uint8, which cannot overflow and
+    needs no cast pass, and only the block sums are added in int32.
+    """
+    total = np.zeros(rows.shape[1], dtype=np.int32)
+    for lo in range(0, len(rows), 255):
+        total += np.add.reduce(rows[lo:lo + 255], axis=0, dtype=np.uint8)
+    return total
+
+
 def greedy_transversal(family: SetFamily) -> TransversalResult:
     """Repeatedly pick the vertex covering the most uncovered edges.
 
@@ -183,8 +207,8 @@ def greedy_transversal(family: SetFamily) -> TransversalResult:
     raises ValueError naming the first one.
     """
     incidence = family.incidence
-    counts = incidence.view(np.uint8)            # sums into int32 with no int64 cast pass
-    degree = np.add.reduce(counts, axis=0, dtype=np.int32)
+    counts = incidence.view(np.uint8)
+    degree = _column_sums(counts)
     uncovered = np.ones(len(family), dtype=bool)
     picks: list[int] = []
     covered_counts: list[int] = []
@@ -195,7 +219,7 @@ def greedy_transversal(family: SetFamily) -> TransversalResult:
         newly = uncovered & incidence[:, v]
         picks.append(v)
         covered_counts.append(int(newly.sum()))
-        degree -= np.add.reduce(counts[newly], axis=0, dtype=np.int32)
+        degree -= _column_sums(counts[newly])
         uncovered &= ~newly
     assert incidence[:, picks].any(axis=1).all()
     return TransversalResult(picks, covered_counts)

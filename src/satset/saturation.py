@@ -41,11 +41,16 @@ def _covered_mask(plane: ProjectivePlane, mask: np.ndarray) -> np.ndarray:
     return on_lines(plane, np.flatnonzero(hits >= 2))
 
 
-def unsaturated(plane: ProjectivePlane, points: Iterable[int]) -> set[int]:
-    """Points outside the set with no line through them carrying two set points."""
+def _unsaturated_mask(plane: ProjectivePlane, points: Iterable[int]) -> np.ndarray:
+    """Bool mask of the points outside the set with no line through them carrying two set points."""
     mask = np.zeros(plane.n, dtype=bool)
     mask[_point_indices(plane, points)] = True
-    return set(np.flatnonzero(~_covered_mask(plane, mask) & ~mask).tolist())
+    return ~_covered_mask(plane, mask) & ~mask
+
+
+def unsaturated(plane: ProjectivePlane, points: Iterable[int]) -> set[int]:
+    """Points outside the set with no line through them carrying two set points."""
+    return set(np.flatnonzero(_unsaturated_mask(plane, points)).tolist())
 
 
 def is_saturating(plane: ProjectivePlane, points: Iterable[int]) -> bool:

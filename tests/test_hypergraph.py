@@ -12,7 +12,7 @@ from satset.hypergraph import (SetFamily, check_uniform_intersecting,
                                greedy_transversal, intersection_lemma_holds,
                                pairwise_intersection_sizes, saturation_family,
                                transversal_bound)
-from satset.plane import canonical_plane
+from satset.plane import canonical_plane, join_rows
 from satset.saturation import is_saturating, unsaturated
 
 
@@ -298,7 +298,7 @@ def test_lemma_check_matches_the_broadcast_reference():
     assert checked > 80
 
 
-@pytest.mark.parametrize("q,size", [(4, 3), (8, 5)])
+@pytest.mark.parametrize("q,size", [(4, 3), (8, 5), (16, 9)])
 def test_lemma_check_where_the_two_cases_coincide(q, size):
     # k(k-1) = (k-1)(k-2)+q when q = 2(k-1): every pair predicts one value
     pl = canonical_plane(q)
@@ -310,6 +310,46 @@ def test_lemma_check_where_the_two_cases_coincide(q, size):
         assert reference_lemma_holds(pl, fam, seed_set)
         off_diagonal = fam.intersections[~np.eye(len(fam), dtype=bool)]
         assert set(off_diagonal.tolist()) <= {size * (size - 1)}
+
+
+def lemma_runs(plane, family, seed_set):
+    """The edges whose labels share a join with some s in S0, one array per (s, line)."""
+    joins = join_rows(plane, sorted(seed_set))[:, list(family.labels)]
+    return [np.flatnonzero(row == line) for row in joins for line in np.unique(row)]
+
+
+@pytest.mark.parametrize("q,size,seeds", [(16, 3, 3), (64, 10, 1)])
+def test_lemma_check_on_long_runs(q, size, seeds):
+    # every pair of labels on one line through s is a meeting pair; a pair
+    # left out of the scatter would pass a Gram entry at the miss value
+    pl = canonical_plane(q)
+    rng = np.random.default_rng(q + size)
+    miss, meet = size * (size - 1), (size - 1) * (size - 2) + q
+    for _ in range(seeds):
+        seed_set = set(int(v) for v in rng.choice(pl.n, size=size, replace=False))
+        fam = saturation_family(pl, seed_set)
+        runs = lemma_runs(pl, fam, seed_set)
+        assert max(map(len, runs)) >= 15
+        assert intersection_lemma_holds(pl, fam, seed_set)
+        assert reference_lemma_holds(pl, fam, seed_set)
+        longest = max(runs, key=len)
+        chosen = [runs[0], longest, runs[-1]]
+        pairs = {(int(a), int(b)) for run in chosen for a in run for b in run if a < b}
+        if q > 16:          # the first pair, one inside and the last of each run
+            pairs = {(int(run[a]), int(run[b])) for run in chosen
+                     for a, b in ((0, 1), (len(run) // 2, len(run) // 2 + 1), (-2, -1))}
+        gram = fam.intersections
+        for i, j in sorted(pairs):
+            assert gram[i, j] == meet
+            perturbed = SetFamily(fam.incidence, fam.labels)
+            perturbed.intersections = gram.copy()
+            perturbed.intersections[i, j] = perturbed.intersections[j, i] = miss
+            assert not intersection_lemma_holds(pl, perturbed, seed_set)
+            assert not reference_lemma_holds(pl, perturbed, seed_set)
+            perturbed.intersections = gram.copy()
+            perturbed.intersections[j, i] = meet + 1       # one side only
+            assert not intersection_lemma_holds(pl, perturbed, seed_set)
+            assert not reference_lemma_holds(pl, perturbed, seed_set)
 
 
 @pytest.mark.parametrize("q", [4, 9, 16])
@@ -530,3 +570,36 @@ def test_seed_sets_take_the_point_index_rule(bad, message):
             call()
         assert str(info.value) == message
     assert intersection_lemma_holds(pl, family, np.array([5, 2], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("label,message", [
+    (-1, "point index -1 outside [0, 13)"),
+    (True, "point index True is not an integer"),
+    (2.0, "point index 2.0 is not an integer"),
+    (13, "point index 13 outside [0, 13)"),
+])
+def test_lemma_labels_take_the_point_index_rule(label, message):
+    # read as join-row columns, -1 was point 12 (and passed), True point 1,
+    # and 2.0 and 13 raised numpy's IndexError
+    pl = canonical_plane(3)
+    seed_set = {2, 5}
+    family = saturation_family(pl, seed_set)
+    labelled = SetFamily(family.incidence, family.labels[:-1] + (label,))
+    with pytest.raises(ValueError) as info:
+        intersection_lemma_holds(pl, labelled, seed_set)
+    assert str(info.value) == message
+
+
+def test_column_blocked_gram_equals_one_product(monkeypatch):
+    pl = canonical_plane(25)
+    seed_set = set(int(v) for v in np.random.default_rng(1).choice(pl.n, size=5, replace=False))
+    fam = saturation_family(pl, seed_set)
+    m = len(fam)
+    a = fam.incidence.astype(np.float32)
+    single = (a @ a.T).astype(np.int32)
+    assert np.array_equal(fam.intersections, single)
+    for budget in (4 * m * 100, 4 * m * 64 + 3, 1):     # 7, 11 and 651 blocks
+        monkeypatch.setattr(hypergraph, "_GRAM_BLOCK_BYTES", budget)
+        blocked = SetFamily(fam.incidence, fam.labels).intersections
+        assert blocked.dtype == np.int32 and not blocked.flags.writeable
+        assert np.array_equal(blocked, single)

@@ -74,15 +74,16 @@ HYPERGRAPH_ARGV = ["hypergraph", "--q", "9", "--s0-size", "4", "--seed", "3"]
 
 def test_two_recounts_per_hypergraph_command(capsys, monkeypatch):
     # one to build the family, one to prove S0 plus its transversal
+    # `unsaturated` and `saturation_family` both go through `_unsaturated_mask`
     calls = []
-    original = saturation.unsaturated
+    original = saturation._unsaturated_mask
 
     def counting(plane, points):
         calls.append(1)
         return original(plane, points)
 
-    monkeypatch.setattr(saturation, "unsaturated", counting)
-    monkeypatch.setattr(hypergraph, "unsaturated", counting)
+    monkeypatch.setattr(saturation, "_unsaturated_mask", counting)
+    monkeypatch.setattr(hypergraph, "_unsaturated_mask", counting)
     assert main(HYPERGRAPH_ARGV) == 0
     assert capsys.readouterr().out.endswith("saturating=True\n")
     assert len(calls) == 2
