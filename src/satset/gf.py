@@ -182,34 +182,39 @@ class GaloisField:
 
     def _build_tables(self) -> dict[str, np.ndarray]:
         p, e, q = self.p, self.e, self.q
-        idx = np.arange(q, dtype=np.int64)
-        dig = np.empty((q, e), dtype=np.int64)
-        rem = idx.copy()
+        dig = np.empty((q, e), dtype=np.int32)
+        rem = np.arange(q, dtype=np.int32)
         for j in range(e):
             dig[:, j] = rem % p
             rem //= p
-        weights = p ** np.arange(e, dtype=np.int64)
-        add = ((dig[:, None, :] + dig[None, :, :]) % p) @ weights
+        weights = p ** np.arange(e, dtype=np.int32)
+        # digit by digit: a (q, q) sum mod p per digit, no (q, q, e) array
+        add = np.zeros((q, q), dtype=np.int32)
+        for j in range(e):
+            add += (dig[:, None, j] + dig[None, :, j]) % p * weights[j]
         neg = ((-dig) % p) @ weights
-        # exp/log via a generator gives O(1) products and inverses
-        exp = np.empty(q - 1, dtype=np.int64)
+        # exp/log via a generator gives O(1) products and inverses.  x -> x*g
+        # is GF(p)-linear, so its table comes from the images of the basis
+        # powers x^j (index p^j), and the powers of g are steps through it
         g = self._generator()
+        images = np.array([_digits(self._raw_mul(int(w), g), p, e) for w in weights])
+        times_g = ((dig @ images) % p @ weights).tolist()
+        exp = np.empty(q - 1, dtype=np.int32)
         x = 1
         for k in range(q - 1):
             exp[k] = x
-            x = self._raw_mul(x, g)
-        log = np.empty(q, dtype=np.int64)
+            x = times_g[x]
+        log = np.zeros(q, dtype=np.intp)        # log[0] is a placeholder
         log[exp] = np.arange(q - 1)
-        log[0] = -1
-        mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+        # exp twice over: log a + log b < 2(q-1) indexes it with no mod
+        mul = np.tile(exp, 2)[log[:, None] + log[None, :]]
         mul[0, :] = 0
         mul[:, 0] = 0
-        inv = np.zeros(q, dtype=np.int64)
+        inv = np.zeros(q, dtype=np.int32)
         inv[exp] = exp[(-np.arange(q - 1)) % (q - 1)]
-        tables = {}
-        for name, table in (("add", add), ("neg", neg), ("mul", mul), ("inv", inv)):
-            tables[name] = table.astype(np.int32)
-            tables[name].setflags(write=False)
+        tables = {"add": add, "neg": neg, "mul": mul, "inv": inv}
+        for table in tables.values():
+            table.setflags(write=False)
         return tables
 
 

@@ -37,7 +37,8 @@ class SetFamily:
     edge k), kept as a read-only view of the caller's array, which is
     neither copied nor frozen.  `edges`, the same sets as frozensets, is
     derived on first use.  `labels`, when present, records the originating
-    unsaturated point of each edge of a saturation family.
+    unsaturated point of each edge of a saturation family, whose builder
+    also keeps the join rows of its seed set for the lemma check.
     """
 
     def __init__(self, incidence: np.ndarray, labels: tuple[int, ...] | None = None):
@@ -49,6 +50,7 @@ class SetFamily:
         self.incidence = incidence.view()
         self.incidence.setflags(write=False)
         self.ground_size, self.labels = incidence.shape[1], labels
+        self._seed_joins: tuple = (None, None, None)    # plane, S0, join_rows(plane, S0)
 
     def __len__(self):
         return len(self.incidence)
@@ -104,12 +106,16 @@ def saturation_family(plane: ProjectivePlane, seed_set: Iterable[int]) -> SetFam
         raise ValueError(f"saturation family of {m} edges over {n} points needs {needed >> 20} "
                          f"MiB, above the {FAMILY_BYTES_CAP >> 20} MiB ceiling")
     members = np.zeros((m, n), dtype=bool)
-    points = plane.line_points[join_rows(plane, s0)[:, missing].T]     # (m, |S0|, q+1)
+    joins = join_rows(plane, s0)
+    joins.setflags(write=False)
+    points = plane.line_points[joins[:, missing].T]     # (m, |S0|, q+1)
     # flat indices below m·n < FAMILY_BYTES_CAP / 5, so int32 holds them
     points += np.arange(0, m * n, n, dtype=np.int32)[:, None, None]
     members.ravel()[points.ravel()] = True
     members[:, s0] = False
-    return SetFamily(members, tuple(missing.tolist()))
+    family = SetFamily(members, tuple(missing.tolist()))
+    family._seed_joins = (plane, s0, joins)
+    return family
 
 
 def pairwise_intersection_sizes(family: SetFamily) -> list[int]:
@@ -142,13 +148,18 @@ def intersection_lemma_holds(plane: ProjectivePlane, family: SetFamily,
     s·n + <s, x_i>: each position is paired with every position of its
     run, itself included, which lands on the unchecked diagonal.  The
     prediction is compared against intersections counted from the edges,
-    so the two sides come from independent data.
+    so the two sides come from independent data.  The join rows are the
+    ones `saturation_family` kept when it built the family from this
+    plane and S0, and are made afresh otherwise.
     """
     if family.labels is None:
         raise ValueError("the lemma check needs a labelled family (one label per edge)")
     s0 = sorted(set(_point_indices(plane, seed_set).tolist()))
     k, m, n = len(s0), len(family), plane.n
-    keys = join_rows(plane, s0)[:, _point_indices(plane, family.labels)]
+    built_on, built_from, joins = family._seed_joins
+    if built_on is not plane or built_from != s0:
+        joins = join_rows(plane, s0)
+    keys = joins[:, _point_indices(plane, family.labels)]
     keys = keys + np.arange(0, k * n, n, dtype=np.intp)[:, None]
     order = np.argsort(keys, axis=None)
     ranked = keys.ravel()[order]

@@ -23,10 +23,11 @@ import functools
 import io
 import itertools
 import string
+import threading
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -164,11 +165,15 @@ def check_table_bytes(q: int) -> None:
 def build_pg2(field: GaloisField) -> ProjectivePlane:
     """Canonical Desarguesian plane PG(2,q) over the given field.
 
-    Each class of dual triples gets its rows from closed forms, in order.
-    Incidence is symmetric (point j lies on line k exactly when k lies on
-    j), so the one table serves as `point_lines` too.  Its degree check, a
-    blocked count over every row, stays: an index >= n leaves some point
-    short.  An order above `PLANE_BYTES_CAP` is refused before any table.
+    Each class of dual triples gets its rows from closed forms.  The rows
+    of lines (1, d1, d2) with d2 != 0, nearly all of the table, are split
+    at d1 = q/2 between this thread and one helper thread; this thread
+    then writes the O(q) rows of the other classes.  Incidence is
+    symmetric (point j lies on line k exactly when k lies on j), so the
+    one table serves as `point_lines` too.  Its degree check, a blocked
+    count over every row, stays, the two halves of the rows counted on
+    the two threads: an index >= n leaves some point short.  An order
+    above `PLANE_BYTES_CAP` is refused before any table.
     """
     q = field.q
     n = q * q + q + 1
@@ -183,9 +188,14 @@ def build_pg2(field: GaloisField) -> ProjectivePlane:
     # grid[d1, d2] is line (1, d1, d2); for d2 != 0 it holds
     # (1, a, -(1 + d1 a)/d2) for every a, then (0, 1, -d1/d2)
     grid = line_points[:qq].reshape(q, q, q + 1)
-    for d1 in range(q):
-        grid[d1, 1:, :q] = np.take(div, neg[add[1, mul[d1, a]]], axis=1) + aq
-        grid[d1, 1:, q] = qq + div[:, neg[d1]]
+
+    def slopes(d1s: range) -> None:
+        for d1 in d1s:
+            grid[d1, 1:, :q] = np.take(div, neg[add[1, mul[d1, a]]], axis=1) + aq
+            grid[d1, 1:, q] = qq + div[:, neg[d1]]
+
+    half = q // 2
+    _on_two_threads(lambda: slopes(range(half)), lambda: slopes(range(half, q)))
     # (1, d1, 0), d1 != 0: (1, -1/d1, b) for every b, then (0, 0, 1)
     grid[1:, 0, :q] = div[:, neg[1], None] * q + a
     grid[1:, 0, q] = n - 1
@@ -198,9 +208,38 @@ def build_pg2(field: GaloisField) -> ProjectivePlane:
     line_points[qq] = np.append(a, n - 1)
     # (0, 0, 1): every (1, a, 0), then (0, 1, 0)
     line_points[n - 1] = np.append(aq, qq)
-    if np.any(_row_counts(line_points, None, n) != q + 1):
+    low, high = _on_two_threads(lambda: _row_counts(line_points[:n // 2], None, n),
+                                lambda: _row_counts(line_points[n // 2:], None, n))
+    if np.any(low + high != q + 1):
         raise ValueError("some point is not on exactly q+1 lines")
     return ProjectivePlane._trusted(q, line_points, line_points, "canonical-PG2", field)
+
+
+def _on_two_threads(first: Callable[[], object], second: Callable[[], object]) -> tuple:
+    """(first(), second()), with second() run on a helper thread meanwhile.
+
+    The helper is joined before this returns or raises.  An exception of
+    first() is raised before one of second(), so a caller that hands the
+    lower rows to first() gets its errors in row order, whichever thread
+    finished first.
+    """
+    outcome = {}
+
+    def run() -> None:
+        try:
+            outcome["value"] = second()
+        except BaseException as exc:        # re-raised below, on the calling thread
+            outcome["error"] = exc
+
+    helper = threading.Thread(target=run)
+    helper.start()
+    try:
+        mine = first()
+    finally:
+        helper.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return mine, outcome["value"]
 
 
 @functools.lru_cache(maxsize=4)
@@ -377,14 +416,21 @@ def _row_counts(table: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarra
 
     One bincount per block of about max(n, 2^16) entries: no gather of
     every row, nor its intp copy, is made at once, and each block still
-    outweighs the n counts its bincount returns.  Values >= n are dropped.
+    outweighs the n counts its bincount returns.  Each block is copied
+    into one reused intp buffer, which bincount reads without a cast copy
+    of its own: a cast freed per block is what a helper thread's malloc
+    arena hands back to the kernel and faults in again.  Values >= n are
+    dropped.
     """
-    counts = np.zeros(n, dtype=np.int64)
+    total = len(table) if rows is None else len(rows)
     step = _block_rows(n, table.shape[1])
-    for start in range(0, len(table) if rows is None else len(rows), step):
+    ints = np.empty((min(step, total), table.shape[1]), dtype=np.intp)
+    counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, total, step):
         block = slice(start, start + step)
-        counts += np.bincount(table[block if rows is None else rows[block]].ravel(),
-                              minlength=n)[:n]
+        entries = ints[:min(step, total - start)]
+        np.copyto(entries, table[block if rows is None else rows[block]])
+        counts += np.bincount(entries.ravel(), minlength=n)[:n]
     return counts
 
 

@@ -528,6 +528,34 @@ def test_one_gram_product_and_no_edges_per_cli_op(capsys, monkeypatch):
     assert "edges" not in family.__dict__
 
 
+def test_one_join_row_build_per_cli_op(capsys, monkeypatch):
+    built = []
+
+    def counting(plane, points):
+        built.append(list(points))
+        return join_rows(plane, points)
+
+    monkeypatch.setattr(hypergraph, "join_rows", counting)
+    assert main(["hypergraph", "--q", "9", "--s0-size", "4", "--seed", "3"]) == 0
+    assert "lemma_check=PASS" in capsys.readouterr().out
+    assert len(built) == 1
+
+
+def test_kept_join_rows_serve_only_their_plane_and_seed_set(tmp_path):
+    # the family keeps the join rows it was built from; the lemma check on
+    # another S0 or another plane of the same order must not read them
+    pl = canonical_plane(7)
+    seed_set = {0, 9, 30, 41}
+    fam = saturation_family(pl, seed_set)
+    relabelled, _ = relabelled_plane(7, tmp_path)
+    for plane, seeds in ((pl, seed_set), (pl, {0, 9, 30, 42}), (relabelled, seed_set)):
+        fresh = SetFamily(fam.incidence, fam.labels)
+        verdict = intersection_lemma_holds(plane, fam, seeds)
+        assert verdict == intersection_lemma_holds(plane, fresh, seeds)
+        assert verdict == reference_lemma_holds(plane, fam, seeds)
+        assert verdict == (plane is pl and seeds == seed_set)
+
+
 def test_family_ceiling_refuses_before_building(capsys, monkeypatch):
     pl = canonical_plane(9)
     seed_set = {0, 13, 47, 88}

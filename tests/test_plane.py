@@ -1,6 +1,8 @@
 import copy
 import hashlib
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -480,6 +482,67 @@ def test_degree_check_refuses_a_corrupted_canonical_table():
     bad = build_pg2(field_for_order(5)).line_points.copy()
     bad[3, 1] = len(bad)
     assert np.any(_row_counts(bad, None, len(bad)) != 6)
+
+
+def _field_with_products(q, row, changes):
+    """GF(q) whose "mul" row `row` has the given {column: value} changes.
+
+    The true row is appended as row q and `inv` sends row's inverse there,
+    so the division table is intact and only lines (1, row, d2), d2 != 0,
+    read the changed row.
+    """
+    field = copy.copy(field_for_order(q))
+    tables = dict(field.tables)
+    mul = np.vstack([tables["mul"], tables["mul"][row]])
+    for column, value in changes.items():
+        mul[row, column] = value
+    inv = tables["inv"].copy()
+    inv[int(np.flatnonzero(inv == row)[0])] = q
+    tables["mul"], tables["inv"] = mul, inv
+    field.tables = tables
+    return field
+
+
+def test_build_pg2_errors_from_the_helper_half_and_no_thread_left_behind():
+    # at q = 5 the helper thread writes d1 = 2, 3, 4 and counts rows 15-30
+    threads = threading.active_count()
+    assert build_pg2(_field_with_products(5, 4, {})) == canonical_plane(5)
+    assert threading.active_count() == threads
+    # rows (1, 4, d2) = 21-24 only: a product of -1 still indexes the tables
+    # but writes a wrong point there, which the helper's count sees
+    with pytest.raises(ValueError, match="^some point is not on exactly q\\+1 lines$"):
+        build_pg2(_field_with_products(5, 4, {2: -1}))
+    assert threading.active_count() == threads
+    # a product outside the field fails the helper's own rows
+    with pytest.raises(IndexError, match="index 7 is out of bounds"):
+        build_pg2(_field_with_products(5, 4, {2: 7}))
+    assert threading.active_count() == threads
+
+
+def test_build_pg2_tables_hold_when_its_threads_switch_often():
+    # the two threads write disjoint rows of one table; switching between
+    # them every microsecond must leave every byte as recorded
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for q in (7, 16, 27, 64, 121):
+            table = build_pg2(field_for_order(q)).line_points
+            assert hashlib.sha256(table.tobytes()).hexdigest() == LINE_POINTS_SHA256[str(q)], q
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_build_pg2_reports_the_lowest_failing_row():
+    # both threads fail; the error is d1 = 1's, the lower rows, on every run
+    threads = threading.active_count()
+    for _ in range(20):
+        field = _field_with_products(5, 4, {2: 7})
+        mul = field.tables["mul"].copy()
+        mul[1, 3] = 8
+        field.tables = dict(field.tables, mul=mul)
+        with pytest.raises(IndexError, match="index 8 is out of bounds"):
+            build_pg2(field)
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------
