@@ -418,9 +418,10 @@ def _row_counts(table: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarra
     every row, nor its intp copy, is made at once, and each block still
     outweighs the n counts its bincount returns.  Each block is copied
     into one reused intp buffer, which bincount reads without a cast copy
-    of its own: a cast freed per block is what a helper thread's malloc
-    arena hands back to the kernel and faults in again.  Values >= n are
-    dropped.
+    of its own: a cast freed per block is handed back to the kernel and
+    faulted in again whenever glibc's mmap and trim thresholds are still
+    low, as in a fresh process or a helper thread's arena.  Values >= n
+    are dropped.
     """
     total = len(table) if rows is None else len(rows)
     step = _block_rows(n, table.shape[1])
